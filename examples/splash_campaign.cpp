@@ -138,7 +138,8 @@ main(int argc, char **argv)
         core::SimParams params;
         params.requests = requests;
         params.seed = records[c * seeds].seed;
-        core::NetworkSimulation sim(config, *workload, params);
+        core::SimContext ctx(config);
+        core::NetworkSimulation sim(ctx, *workload, params);
         const auto metrics = sim.run();
         std::cout << "\n";
         core::collectReport(metrics, sim.system()).print(std::cout);

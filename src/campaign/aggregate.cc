@@ -1,5 +1,7 @@
 #include "campaign/aggregate.hh"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <ostream>
 
@@ -9,28 +11,34 @@ namespace corona::campaign {
 
 namespace {
 
-double
-metricValue(const core::RunMetrics &m, SummaryMetric which)
-{
-    switch (which) {
-      case SummaryMetric::AvgLatencyNs:
-        return m.avg_latency_ns;
-      case SummaryMetric::P95LatencyNs:
-        return m.p95_latency_ns;
-      case SummaryMetric::AchievedBytesPerSecond:
-        return m.achieved_bytes_per_second;
-      case SummaryMetric::NetworkPowerW:
-        return m.network_power_w;
-      case SummaryMetric::TokenWaitNs:
-        return m.token_wait_ns;
-      case SummaryMetric::Count:
-        break;
-    }
-    sim::panic("SummarySink: unknown metric");
-}
-
 constexpr std::size_t kMetricCount =
     static_cast<std::size_t>(SummaryMetric::Count);
+
+/** metricFields indices of the summarised entries, in SummaryMetric
+ * order. */
+constexpr std::array<std::size_t, kMetricCount> kSummarised = [] {
+    std::array<std::size_t, kMetricCount> out{};
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < core::metricFields.size(); ++i) {
+        if (core::metricFields[i].summarised)
+            out.at(n++) = i;
+    }
+    return out;
+}();
+static_assert(std::ranges::all_of(kSummarised, [](std::size_t i) {
+                  const core::MetricField &field = core::metricFields[i];
+                  return field.summarised &&
+                         field.kind == core::MetricField::Kind::Real;
+              }),
+              "SummaryMetric must list exactly the summarised, "
+              "real-valued metricFields entries");
+
+/** The metricFields entry of SummaryMetric @p metric. */
+const core::MetricField &
+summarisedField(std::size_t metric)
+{
+    return core::metricFields[kSummarised[metric]];
+}
 
 } // namespace
 
@@ -54,21 +62,17 @@ tCritical95(std::size_t df)
 const char *
 SummarySink::header()
 {
-    return "workload,config,override,replicates,failed,"
-           "avg_latency_ns_mean,avg_latency_ns_stddev,"
-           "avg_latency_ns_ci95,avg_latency_ns_min,avg_latency_ns_max,"
-           "p95_latency_ns_mean,p95_latency_ns_stddev,"
-           "p95_latency_ns_ci95,p95_latency_ns_min,p95_latency_ns_max,"
-           "achieved_bytes_per_second_mean,"
-           "achieved_bytes_per_second_stddev,"
-           "achieved_bytes_per_second_ci95,"
-           "achieved_bytes_per_second_min,"
-           "achieved_bytes_per_second_max,"
-           "network_power_w_mean,network_power_w_stddev,"
-           "network_power_w_ci95,network_power_w_min,"
-           "network_power_w_max,"
-           "token_wait_ns_mean,token_wait_ns_stddev,token_wait_ns_ci95,"
-           "token_wait_ns_min,token_wait_ns_max";
+    static const std::string header = [] {
+        std::string text = "workload,config,override,replicates,failed";
+        for (std::size_t metric = 0; metric < kMetricCount; ++metric) {
+            for (const char *stat :
+                 {"mean", "stddev", "ci95", "min", "max"})
+                text += std::string(",") + summarisedField(metric).name +
+                        "_" + stat;
+        }
+        return text;
+    }();
+    return header.c_str();
 }
 
 void
@@ -119,8 +123,8 @@ SummarySink::consume(const RunRecord &record)
     }
     ++acc.cell.replicates;
     for (std::size_t metric = 0; metric < kMetricCount; ++metric)
-        acc.stats[metric].sample(metricValue(
-            record.metrics, static_cast<SummaryMetric>(metric)));
+        acc.stats[metric].sample(
+            record.metrics.*summarisedField(metric).real);
 }
 
 void

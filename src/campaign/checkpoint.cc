@@ -81,40 +81,26 @@ parseNumber(const std::string &text)
     return value;
 }
 
+/** Identity columns ahead of the metric columns in a CsvSink row:
+ * run, workload, config, override, seed, status, error. */
+constexpr std::size_t kIdentityColumns = 7;
+
 /** Decode one CsvSink-schema row; nullopt on any malformed field. */
 std::optional<RunRecord>
 parseRecordRow(const std::string &line)
 {
     const auto fields = splitCsvRow(line);
-    if (!fields || fields->size() != 19)
+    if (!fields ||
+        fields->size() != kIdentityColumns + core::metricFields.size())
         return std::nullopt;
     const std::vector<std::string> &f = *fields;
 
-    RunRecord record;
-    core::RunMetrics &m = record.metrics;
-
     const auto index = parseNumber<std::size_t>(f[0]);
     const auto seed = parseNumber<std::uint64_t>(f[4]);
-    const auto requests_issued = parseNumber<std::uint64_t>(f[7]);
-    const auto requests_coalesced = parseNumber<std::uint64_t>(f[8]);
-    const auto elapsed = parseNumber<std::uint64_t>(f[9]);
-    const auto avg_latency = parseNumber<double>(f[10]);
-    const auto p95_latency = parseNumber<double>(f[11]);
-    const auto achieved = parseNumber<double>(f[12]);
-    const auto offered = parseNumber<double>(f[13]);
-    const auto power = parseNumber<double>(f[14]);
-    const auto token_wait = parseNumber<double>(f[15]);
-    const auto hops = parseNumber<std::uint64_t>(f[16]);
-    const auto mshr = parseNumber<std::uint64_t>(f[17]);
-    const auto peak_queue = parseNumber<std::size_t>(f[18]);
-    if (!index || !seed || !requests_issued || !requests_coalesced ||
-        !elapsed || !avg_latency || !p95_latency || !achieved ||
-        !offered || !power || !token_wait || !hops || !mshr ||
-        !peak_queue)
-        return std::nullopt;
-    if (f[5] != "ok" && f[5] != "failed")
+    if (!index || !seed || (f[5] != "ok" && f[5] != "failed"))
         return std::nullopt;
 
+    RunRecord record;
     record.index = *index;
     record.workload = f[1];
     record.config = f[2];
@@ -122,20 +108,24 @@ parseRecordRow(const std::string &line)
     record.seed = *seed;
     record.ok = f[5] == "ok";
     record.error = f[6];
+    core::RunMetrics &m = record.metrics;
     m.workload = record.workload;
     m.config = record.config;
-    m.requests_issued = *requests_issued;
-    m.requests_coalesced = *requests_coalesced;
-    m.elapsed = *elapsed;
-    m.avg_latency_ns = *avg_latency;
-    m.p95_latency_ns = *p95_latency;
-    m.achieved_bytes_per_second = *achieved;
-    m.offered_bytes_per_second = *offered;
-    m.network_power_w = *power;
-    m.token_wait_ns = *token_wait;
-    m.hop_traversals = *hops;
-    m.mshr_full_stalls = *mshr;
-    m.peak_mc_queue = *peak_queue;
+    for (std::size_t i = 0; i < core::metricFields.size(); ++i) {
+        const core::MetricField &field = core::metricFields[i];
+        const std::string &text = f[kIdentityColumns + i];
+        if (field.kind == core::MetricField::Kind::Count) {
+            const auto value = parseNumber<std::uint64_t>(text);
+            if (!value)
+                return std::nullopt;
+            m.*field.count = *value;
+        } else {
+            const auto value = parseNumber<double>(text);
+            if (!value)
+                return std::nullopt;
+            m.*field.real = *value;
+        }
+    }
     return record;
 }
 

@@ -125,11 +125,15 @@ ResultSink::end()
 const char *
 CsvSink::header()
 {
-    return "run,workload,config,override,seed,status,error,"
-           "requests_issued,requests_coalesced,elapsed_ticks,"
-           "avg_latency_ns,p95_latency_ns,achieved_bytes_per_second,"
-           "offered_bytes_per_second,network_power_w,token_wait_ns,"
-           "hop_traversals,mshr_full_stalls,peak_mc_queue";
+    static const std::string header = [] {
+        std::string text = "run,workload,config,override,seed,status,error";
+        for (const core::MetricField &field : core::metricFields) {
+            text += ',';
+            text += field.name;
+        }
+        return text;
+    }();
+    return header.c_str();
 }
 
 namespace {
@@ -147,12 +151,22 @@ singleLine(std::string text)
     return text;
 }
 
+/** One metric value in the CSV/checkpoint dialect: counts in
+ * decimal, doubles in shortest round-trip form (nan/inf spelled
+ * out). */
+std::string
+metricText(const core::MetricField &field, const core::RunMetrics &m)
+{
+    if (field.kind == core::MetricField::Kind::Count)
+        return std::to_string(m.*field.count);
+    return formatShortestDouble(m.*field.real);
+}
+
 } // namespace
 
 std::string
 csvRow(const RunRecord &record)
 {
-    const core::RunMetrics &m = record.metrics;
     std::string row;
     row += std::to_string(record.index);
     row += ',';
@@ -167,30 +181,10 @@ csvRow(const RunRecord &record)
     row += record.ok ? "ok" : "failed";
     row += ',';
     row += csvEscape(singleLine(record.error));
-    row += ',';
-    row += std::to_string(m.requests_issued);
-    row += ',';
-    row += std::to_string(m.requests_coalesced);
-    row += ',';
-    row += std::to_string(m.elapsed);
-    row += ',';
-    row += formatShortestDouble(m.avg_latency_ns);
-    row += ',';
-    row += formatShortestDouble(m.p95_latency_ns);
-    row += ',';
-    row += formatShortestDouble(m.achieved_bytes_per_second);
-    row += ',';
-    row += formatShortestDouble(m.offered_bytes_per_second);
-    row += ',';
-    row += formatShortestDouble(m.network_power_w);
-    row += ',';
-    row += formatShortestDouble(m.token_wait_ns);
-    row += ',';
-    row += std::to_string(m.hop_traversals);
-    row += ',';
-    row += std::to_string(m.mshr_full_stalls);
-    row += ',';
-    row += std::to_string(m.peak_mc_queue);
+    for (const core::MetricField &field : core::metricFields) {
+        row += ',';
+        row += metricText(field, record.metrics);
+    }
     return row;
 }
 
@@ -209,27 +203,20 @@ CsvSink::consume(const RunRecord &record)
 void
 JsonLinesSink::consume(const RunRecord &record)
 {
-    const core::RunMetrics &m = record.metrics;
     _os << "{\"run\":" << record.index << ",\"workload\":\""
         << jsonEscape(record.workload) << "\",\"config\":\""
         << jsonEscape(record.config) << "\",\"override\":\""
         << jsonEscape(record.override_label) << "\",\"seed\":"
         << record.seed << ",\"status\":\""
         << (record.ok ? "ok" : "failed") << "\",\"error\":\""
-        << jsonEscape(record.error) << "\",\"requests_issued\":"
-        << m.requests_issued << ",\"requests_coalesced\":"
-        << m.requests_coalesced << ",\"elapsed_ticks\":" << m.elapsed
-        << ",\"avg_latency_ns\":" << jsonNumber(m.avg_latency_ns)
-        << ",\"p95_latency_ns\":" << jsonNumber(m.p95_latency_ns)
-        << ",\"achieved_bytes_per_second\":"
-        << jsonNumber(m.achieved_bytes_per_second)
-        << ",\"offered_bytes_per_second\":"
-        << jsonNumber(m.offered_bytes_per_second)
-        << ",\"network_power_w\":" << jsonNumber(m.network_power_w)
-        << ",\"token_wait_ns\":" << jsonNumber(m.token_wait_ns)
-        << ",\"hop_traversals\":" << m.hop_traversals
-        << ",\"mshr_full_stalls\":" << m.mshr_full_stalls
-        << ",\"peak_mc_queue\":" << m.peak_mc_queue << "}\n";
+        << jsonEscape(record.error) << '"';
+    for (const core::MetricField &field : core::metricFields) {
+        _os << ",\"" << field.name << "\":"
+            << (field.kind == core::MetricField::Kind::Real
+                    ? jsonNumber(record.metrics.*field.real)
+                    : metricText(field, record.metrics));
+    }
+    _os << "}\n";
 }
 
 void

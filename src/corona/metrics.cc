@@ -16,4 +16,18 @@ RunMetrics::speedupOver(const RunMetrics &baseline) const
            static_cast<double>(elapsed);
 }
 
+std::vector<std::string>
+differingFields(const RunMetrics &a, const RunMetrics &b)
+{
+    std::vector<std::string> names;
+    for (const MetricField &field : metricFields) {
+        const bool same = field.kind == MetricField::Kind::Count
+                              ? a.*field.count == b.*field.count
+                              : a.*field.real == b.*field.real;
+        if (!same)
+            names.emplace_back(field.name);
+    }
+    return names;
+}
+
 } // namespace corona::core

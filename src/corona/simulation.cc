@@ -16,21 +16,6 @@
 
 namespace corona::core {
 
-NetworkSimulation::NetworkSimulation(const SystemConfig &config,
-                                     workload::Workload &workload,
-                                     const SimParams &params)
-    : _ownedContext(std::make_unique<SimContext>(
-          config,
-          effectiveSimThreads(params.sim_threads, config, workload,
-                              params.warmup_requests,
-                              /*tracing=*/false))),
-      _ctx(*_ownedContext), _config(config), _workload(workload),
-      _params(params), _eq(_ctx.eq()), _exec(_ctx.executor())
-{
-    bindThreads();
-    initLanes();
-}
-
 NetworkSimulation::NetworkSimulation(SimContext &ctx,
                                      workload::Workload &workload,
                                      const SimParams &params)
@@ -311,52 +296,19 @@ NetworkSimulation::run()
     }
     for (topology::ClusterId c = 0; c < _config.clusters; ++c) {
         m.mshr_full_stalls += _ctx.system().hub(c).mshrs().fullStalls();
-        m.peak_mc_queue = std::max(
+        m.peak_mc_queue = std::max<std::uint64_t>(
             m.peak_mc_queue, _ctx.system().mc(c).peakQueueDepth());
     }
     return m;
 }
 
 RunMetrics
-runExperiment(const SystemConfig &config, workload::Workload &workload,
-              const SimParams &params)
-{
-    NetworkSimulation sim(config, workload, params);
-    return sim.run();
-}
-
-RunMetrics
-runExperiment(SimContext &ctx, workload::Workload &workload,
-              const SimParams &params)
-{
-    NetworkSimulation sim(ctx, workload, params);
-    return sim.run();
-}
-
-RunMetrics
-runExperiment(const SystemConfig &config, workload::Workload &workload,
-              const SimParams &params, const obs::RunObservability &obs)
-{
-    if (!obs.enabled())
-        return runExperiment(config, workload, params);
-    // A fresh context is pristine, so the pooled path below applies.
-    // Tracing pins the run to the classic engine: the shared trace
-    // ring's eviction order is not shard-count-invariant.
-    SimContext ctx(config,
-                   effectiveSimThreads(params.sim_threads, config,
-                                       workload,
-                                       params.warmup_requests,
-                                       obs.trace_capacity > 0));
-    return runExperiment(ctx, workload, params, obs);
-}
-
-RunMetrics
 runExperiment(SimContext &ctx, workload::Workload &workload,
               const SimParams &params, const obs::RunObservability &obs)
 {
-    if (!obs.enabled())
-        return runExperiment(ctx, workload, params);
     NetworkSimulation sim(ctx, workload, params);
+    if (!obs.enabled())
+        return sim.run();
     // Constructed after the simulation: the pristine check above must
     // not see sampler events, and the destructor detaches the tracer so
     // a pooled system never keeps a dangling pointer across leases.
@@ -365,6 +317,22 @@ runExperiment(SimContext &ctx, workload::Workload &workload,
     RunMetrics metrics = sim.run();
     observer.finish();
     return metrics;
+}
+
+RunMetrics
+runExperiment(const SystemConfig &config, workload::Workload &workload,
+              const SimParams &params, const obs::RunObservability &obs)
+{
+    // A fresh context is pristine. Tracing pins the run to the classic
+    // engine: the shared trace ring's eviction order is not
+    // shard-count-invariant.
+    SimContext ctx(config,
+                   effectiveSimThreads(params.sim_threads, config,
+                                       workload,
+                                       params.warmup_requests,
+                                       obs.enabled() &&
+                                           obs.trace_capacity > 0));
+    return runExperiment(ctx, workload, params, obs);
 }
 
 std::optional<std::uint64_t>

@@ -13,7 +13,6 @@
 #ifndef CORONA_CORONA_SIMULATION_HH
 #define CORONA_CORONA_SIMULATION_HH
 
-#include <memory>
 #include <optional>
 #include <string_view>
 #include <vector>
@@ -21,14 +20,11 @@
 #include "corona/context.hh"
 #include "corona/metrics.hh"
 #include "corona/system.hh"
+#include "obs/observe.hh"
 #include "sim/rng.hh"
 #include "stats/stats.hh"
 #include "workload/thread_model.hh"
 #include "workload/workload.hh"
-
-namespace corona::obs {
-struct RunObservability;
-} // namespace corona::obs
 
 namespace corona::core {
 
@@ -59,11 +55,6 @@ struct SimParams
 class NetworkSimulation
 {
   public:
-    /** Build a private SimContext for @p config and run on it. */
-    NetworkSimulation(const SystemConfig &config,
-                      workload::Workload &workload,
-                      const SimParams &params = {});
-
     /**
      * Run on an externally owned (typically pooled) context. @p ctx
      * must be pristine — freshly constructed or reset(), as
@@ -118,8 +109,6 @@ class NetworkSimulation
         return _lanes[_exec ? tid / _config.threads_per_cluster : 0];
     }
 
-    /** Null when running on a caller-owned context. */
-    std::unique_ptr<SimContext> _ownedContext;
     SimContext &_ctx;
     SystemConfig _config;
     workload::Workload &_workload;
@@ -148,34 +137,29 @@ class NetworkSimulation
 };
 
 /**
- * Convenience harness: run @p workload on @p config.
+ * Run @p workload on a pristine leased context (see the
+ * NetworkSimulation constructor). The context is left dirty
+ * afterwards; the pool resets it on the next lease.
+ *
+ * When @p obs requests any plane, the run carries a fully wired
+ * obs::RunObserver (registry instrumentation, optional event tracer,
+ * optional time-series sampler) and its output files are written
+ * before returning. A disabled @p obs attaches nothing — metrics and
+ * sink bytes cannot differ from an unobserved run.
+ */
+RunMetrics runExperiment(SimContext &ctx, workload::Workload &workload,
+                         const SimParams &params = {},
+                         const obs::RunObservability &obs = {});
+
+/**
+ * Convenience harness: run @p workload on a fresh context for
+ * @p config, on the engine effectiveSimThreads() grants (event tracing
+ * pins the classic engine).
  */
 RunMetrics runExperiment(const SystemConfig &config,
                          workload::Workload &workload,
-                         const SimParams &params = {});
-
-/**
- * Run @p workload on a pristine leased context (see the pooled
- * constructor). The context is left dirty afterwards; the pool resets
- * it on the next lease.
- */
-RunMetrics runExperiment(SimContext &ctx, workload::Workload &workload,
-                         const SimParams &params = {});
-
-/**
- * Observed variants: when @p obs requests any plane, the run carries a
- * fully wired obs::RunObserver (registry instrumentation, optional
- * event tracer, optional time-series sampler) and its output files are
- * written before returning. A disabled @p obs takes exactly the
- * unobserved code path — metrics and sink bytes cannot differ.
- */
-RunMetrics runExperiment(const SystemConfig &config,
-                         workload::Workload &workload,
-                         const SimParams &params,
-                         const obs::RunObservability &obs);
-RunMetrics runExperiment(SimContext &ctx, workload::Workload &workload,
-                         const SimParams &params,
-                         const obs::RunObservability &obs);
+                         const SimParams &params = {},
+                         const obs::RunObservability &obs = {});
 
 /**
  * Strictly parse a positive decimal count: digits only (no sign,

@@ -62,7 +62,7 @@ executePlanAnalytically(const campaign::RunPlan &plan,
     m.elapsed = sim::secondsToTicks(seconds);
     m.hop_traversals = static_cast<std::uint64_t>(
         prediction.hop_traversals_per_second * seconds + 0.5);
-    m.peak_mc_queue = static_cast<std::size_t>(
+    m.peak_mc_queue = static_cast<std::uint64_t>(
         std::ceil(md1QueueLength(prediction.bottleneck_utilization)));
     return record;
 }

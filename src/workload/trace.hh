@@ -1,27 +1,20 @@
 /**
  * @file
- * Miss-trace records, legacy serialization, and capture helpers.
+ * Miss-trace records and capture helpers.
  *
  * The paper's methodology splits simulation in two: a full-system
  * simulator emits annotated L2-miss traces, and the network simulator
- * replays them. The trace seam itself now lives in src/trace/ — the
+ * replays them. The trace seam itself lives in src/trace/ — the
  * streaming `.ctrace` container (trace/ctrace.hh) and the replay
  * workload (trace/replayer.hh). This header keeps the pieces the
- * subsystem builds on: the TraceRecord unit, round-robin capture of a
- * generator's stream, and the legacy fixed-record "CORONATRACE"
- * writer (a 16-byte header — magic, version, flags, thread count —
- * followed by 32-byte little-endian records; version 2 uses the
- * former pad field as a flags word, bit 0 marking a reference
- * stream). Legacy files are read back only through
- * trace::convertLegacy(), which streams them into `.ctrace` instead
- * of loading every record into memory.
+ * subsystem builds on: the TraceRecord unit and round-robin capture
+ * of a generator's stream.
  */
 
 #ifndef CORONA_WORKLOAD_TRACE_HH
 #define CORONA_WORKLOAD_TRACE_HH
 
 #include <cstdint>
-#include <iosfwd>
 #include <vector>
 
 #include "workload/workload.hh"
@@ -38,33 +31,6 @@ struct TraceRecord
     std::uint8_t write;
 
     bool operator==(const TraceRecord &) const = default;
-};
-
-/**
- * Serializes trace records in the legacy fixed-record format (kept as
- * the conversion-path fixture writer; new traces use trace::Writer).
- */
-class TraceWriter
-{
-  public:
-    /**
-     * @param os Output stream (binary).
-     * @param threads Thread count recorded in the header.
-     * @param reference_stream True when the records are raw
-     *     references (coherent front end input) rather than misses;
-     *     recorded in the header flags.
-     */
-    TraceWriter(std::ostream &os, std::uint32_t threads,
-                bool reference_stream = false);
-
-    /** Append one record. */
-    void append(const TraceRecord &record);
-
-    std::uint64_t written() const { return _written; }
-
-  private:
-    std::ostream &_os;
-    std::uint64_t _written = 0;
 };
 
 /**

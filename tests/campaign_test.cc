@@ -23,6 +23,8 @@
 #include "workload/splash.hh"
 #include "workload/synthetic.hh"
 
+#include "metrics_eq.hh"
+
 namespace {
 
 using namespace corona;
@@ -161,21 +163,8 @@ TEST(CampaignRunner, MetricsAreIdenticalForOneAndManyThreads)
     for (std::size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i].index, b[i].index);
         EXPECT_EQ(a[i].seed, b[i].seed);
-        const auto &ma = a[i].metrics;
-        const auto &mb = b[i].metrics;
-        EXPECT_EQ(ma.requests_issued, mb.requests_issued);
-        EXPECT_EQ(ma.requests_coalesced, mb.requests_coalesced);
-        EXPECT_EQ(ma.elapsed, mb.elapsed);
-        EXPECT_EQ(ma.hop_traversals, mb.hop_traversals);
-        EXPECT_EQ(ma.mshr_full_stalls, mb.mshr_full_stalls);
-        EXPECT_EQ(ma.peak_mc_queue, mb.peak_mc_queue);
         // Bit-identical, not approximately equal.
-        EXPECT_EQ(ma.achieved_bytes_per_second,
-                  mb.achieved_bytes_per_second);
-        EXPECT_EQ(ma.avg_latency_ns, mb.avg_latency_ns);
-        EXPECT_EQ(ma.p95_latency_ns, mb.p95_latency_ns);
-        EXPECT_EQ(ma.network_power_w, mb.network_power_w);
-        EXPECT_EQ(ma.token_wait_ns, mb.token_wait_ns);
+        EXPECT_METRICS_EQ(a[i].metrics, b[i].metrics);
     }
 }
 
@@ -210,14 +199,7 @@ TEST(CampaignRunner, MatchesTheHistoricalSerialLoop)
             auto workload = spec.workloads[w].make();
             const auto serial = core::runExperiment(
                 spec.configs[c], *workload, spec.base);
-            const auto &engine = grid[w][c];
-            EXPECT_EQ(engine.requests_issued, serial.requests_issued);
-            EXPECT_EQ(engine.elapsed, serial.elapsed);
-            EXPECT_EQ(engine.achieved_bytes_per_second,
-                      serial.achieved_bytes_per_second);
-            EXPECT_EQ(engine.avg_latency_ns, serial.avg_latency_ns);
-            EXPECT_EQ(engine.network_power_w, serial.network_power_w);
-            EXPECT_EQ(engine.hop_traversals, serial.hop_traversals);
+            EXPECT_METRICS_EQ(grid[w][c], serial);
         }
     }
 }

@@ -77,9 +77,9 @@ TEST(RunReport, CollectsAndPrints)
     auto workload = workload::makeHotSpot();
     core::SimParams params;
     params.requests = 2000;
-    core::NetworkSimulation simulation(
-        core::makeConfig(core::NetworkKind::XBar, core::MemoryKind::OCM),
-        *workload);
+    core::SimContext ctx(
+        core::makeConfig(core::NetworkKind::XBar, core::MemoryKind::OCM));
+    core::NetworkSimulation simulation(ctx, *workload);
     // Use the simulation's own params default; run and collect.
     const auto metrics = simulation.run();
     const auto report = core::collectReport(metrics, simulation.system());
@@ -104,9 +104,9 @@ TEST(RunReport, UniformTrafficIsBalanced)
     auto workload = workload::makeUniform();
     core::SimParams params;
     params.requests = 5000;
-    core::NetworkSimulation simulation(
-        core::makeConfig(core::NetworkKind::XBar, core::MemoryKind::OCM),
-        *workload, params);
+    core::SimContext ctx(
+        core::makeConfig(core::NetworkKind::XBar, core::MemoryKind::OCM));
+    core::NetworkSimulation simulation(ctx, *workload, params);
     const auto metrics = simulation.run();
     const auto report = core::collectReport(metrics, simulation.system());
     EXPECT_LT(report.mcLoadSkew(), 1.6)

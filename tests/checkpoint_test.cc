@@ -260,13 +260,47 @@ TEST(Checkpoint, RejectsWrongCampaignAndMalformedInput)
                      sim::FatalError);
     }
     // Well-formed header, garbage row (newline-terminated, not torn).
-    {
-        std::string bad = file.substr(0, file.find('\n') + 1);
-        bad += "this,is,not,a,record\n";
-        std::istringstream stream(bad);
-        EXPECT_THROW(campaign::readCheckpoint(stream),
-                     sim::FatalError);
+    const std::string header = file.substr(0, file.find('\n') + 1);
+    const auto expectMalformedRow = [&](const std::string &row) {
+        std::istringstream stream(header + row + "\n");
+        try {
+            (void)campaign::readCheckpoint(stream);
+            ADD_FAILURE() << "accepted: " << row;
+        } catch (const sim::FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("malformed row"),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+    expectMalformedRow("this,is,not,a,record");
+
+    // Mutants of a real row, one metric column at a time.
+    const std::size_t row_end = file.find('\n', header.size());
+    const auto fields =
+        campaign::splitCsvRow(file.substr(header.size(),
+                                          row_end - header.size()));
+    ASSERT_TRUE(fields);
+    ASSERT_EQ(fields->size(), 7 + core::metricFields.size());
+    const auto join = [](const std::vector<std::string> &cells) {
+        std::string row;
+        for (std::size_t i = 0; i < cells.size(); ++i)
+            row += (i ? "," : "") + campaign::csvEscape(cells[i]);
+        return row;
+    };
+    for (std::size_t i = 0; i < core::metricFields.size(); ++i) {
+        SCOPED_TRACE(core::metricFields[i].name);
+        for (const char *bad : {"garbage", ""}) {
+            auto mutant = *fields;
+            mutant[7 + i] = bad;
+            expectMalformedRow(join(mutant));
+        }
     }
+    auto dropped = *fields;
+    dropped.pop_back();
+    expectMalformedRow(join(dropped));
+    auto added = *fields;
+    added.push_back("0");
+    expectMalformedRow(join(added));
 }
 
 TEST(Checkpoint, ConcatenatedShardFilesMerge)

@@ -242,10 +242,18 @@ TEST(CtraceDiagnostics, BadMagic)
 TEST(CtraceDiagnostics, GarbageFile)
 {
     const std::string path = tempPath("garbage.ctrace");
-    dump(path, "this is not a trace container at all, not even "
-               "close to one");
-    expectFatalContains([&] { trace::readTraceInfo(path); },
-                        "bad magic");
+    // Prose, and the 16-byte header of the retired fixed-record
+    // CORONATRACE v2 format (magic, u16 version 2, u16 flags, u32
+    // thread count 16): shorter than a ctrace header, yet still named
+    // as a foreign file.
+    for (const std::string &bytes :
+         {std::string("this is not a trace container at all, not even "
+                      "close to one"),
+          std::string("CORONATRACE\0\x02\0\0\0\x10\0\0\0", 16)}) {
+        dump(path, bytes);
+        expectFatalContains([&] { trace::readTraceInfo(path); },
+                            "bad magic");
+    }
 }
 
 TEST(CtraceDiagnostics, TruncatedHeader)

@@ -16,6 +16,8 @@
 #include "workload/synthetic.hh"
 #include "workload/trace.hh"
 
+#include "metrics_eq.hh"
+
 namespace {
 
 using namespace corona;
@@ -61,9 +63,7 @@ TEST(Integration, DeterministicAcrossRuns)
                    workload::makeTornado(), quick(3000));
     auto b = runOn(NetworkKind::HMesh, MemoryKind::OCM,
                    workload::makeTornado(), quick(3000));
-    EXPECT_EQ(a.elapsed, b.elapsed);
-    EXPECT_EQ(a.requests_issued, b.requests_issued);
-    EXPECT_DOUBLE_EQ(a.avg_latency_ns, b.avg_latency_ns);
+    EXPECT_METRICS_EQ(a, b);
 }
 
 TEST(Integration, UniformXbarBeatsMeshesBeatEcm)

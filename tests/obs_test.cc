@@ -32,6 +32,8 @@
 #include "sim/logging.hh"
 #include "workload/synthetic.hh"
 
+#include "metrics_eq.hh"
+
 namespace {
 
 using namespace corona;
@@ -298,12 +300,7 @@ TEST(RunObserver, ObservedRunMetricsMatchAnUnobservedRun)
 
     // The sampler adds events to the queue, so events_executed grows;
     // every simulated metric must be bit-identical.
-    EXPECT_EQ(plain.requests_issued, observed.requests_issued);
-    EXPECT_EQ(plain.elapsed, observed.elapsed);
-    EXPECT_DOUBLE_EQ(plain.achieved_bytes_per_second,
-                     observed.achieved_bytes_per_second);
-    EXPECT_DOUBLE_EQ(plain.avg_latency_ns, observed.avg_latency_ns);
-    EXPECT_DOUBLE_EQ(plain.token_wait_ns, observed.token_wait_ns);
+    EXPECT_METRICS_EQ(plain, observed);
     EXPECT_GT(observed.events_executed, plain.events_executed);
 
     // All three files materialised and are non-trivial.

@@ -23,6 +23,8 @@
 #include "workload/splash.hh"
 #include "workload/synthetic.hh"
 
+#include "metrics_eq.hh"
+
 namespace {
 
 using namespace corona;
@@ -73,8 +75,9 @@ TEST(ExecPlan, EntityShardMapIsContiguousAndComplete)
     for (std::size_t c = 0; c < mesh.clusters; ++c) {
         EXPECT_LT(map[c], 4u);
         ++population[map[c]];
-        if (c > 0)
+        if (c > 0) {
             EXPECT_GE(map[c], map[c - 1]) << "clusters stay contiguous";
+        }
     }
     for (std::size_t k = 0; k < 4; ++k)
         EXPECT_EQ(population[k], mesh.clusters / 4)
@@ -281,29 +284,6 @@ TEST(ShardedExecutor, ResetRestoresThePristineState)
 
 // ------------------------------------------- full-system invariance
 
-void
-expectSameMetrics(const RunMetrics &a, const RunMetrics &b,
-                  const char *what)
-{
-    EXPECT_EQ(a.requests_issued, b.requests_issued) << what;
-    EXPECT_EQ(a.requests_coalesced, b.requests_coalesced) << what;
-    EXPECT_EQ(a.elapsed, b.elapsed) << what;
-    // Exact equality, not near-equality: the sharded engine promises
-    // bit-identical results at every shard count.
-    EXPECT_EQ(a.achieved_bytes_per_second, b.achieved_bytes_per_second)
-        << what;
-    EXPECT_EQ(a.avg_latency_ns, b.avg_latency_ns) << what;
-    EXPECT_EQ(a.p95_latency_ns, b.p95_latency_ns) << what;
-    EXPECT_EQ(a.network_power_w, b.network_power_w) << what;
-    EXPECT_EQ(a.token_wait_ns, b.token_wait_ns) << what;
-    EXPECT_EQ(a.hop_traversals, b.hop_traversals) << what;
-    EXPECT_EQ(a.mshr_full_stalls, b.mshr_full_stalls) << what;
-    EXPECT_EQ(a.peak_mc_queue, b.peak_mc_queue) << what;
-    EXPECT_EQ(a.offered_bytes_per_second, b.offered_bytes_per_second)
-        << what;
-    EXPECT_EQ(a.events_executed, b.events_executed) << what;
-}
-
 RunMetrics
 runSharded(const SystemConfig &config, unsigned sim_threads,
            std::uint64_t requests)
@@ -320,8 +300,13 @@ TEST(ParallelParity, CrossbarMetricsAreShardCountInvariant)
     const auto config = core::makeConfig(NetworkKind::XBar,
                                          MemoryKind::OCM);
     const RunMetrics serial = runSharded(config, 1, 3000);
-    expectSameMetrics(runSharded(config, 2, 3000), serial, "2 shards");
-    expectSameMetrics(runSharded(config, 4, 3000), serial, "4 shards");
+    // Exact equality, not near-equality: the sharded engine promises
+    // bit-identical results at every shard count.
+    for (const unsigned shards : {2u, 4u}) {
+        const RunMetrics sharded = runSharded(config, shards, 3000);
+        EXPECT_METRICS_EQ(sharded, serial) << shards << " shards";
+        EXPECT_EQ(sharded.events_executed, serial.events_executed);
+    }
 }
 
 TEST(ParallelParity, MeshMetricsAreShardCountInvariant)
@@ -329,8 +314,11 @@ TEST(ParallelParity, MeshMetricsAreShardCountInvariant)
     const auto config = core::makeConfig(NetworkKind::HMesh,
                                          MemoryKind::ECM);
     const RunMetrics serial = runSharded(config, 1, 2000);
-    expectSameMetrics(runSharded(config, 2, 2000), serial, "2 shards");
-    expectSameMetrics(runSharded(config, 4, 2000), serial, "4 shards");
+    for (const unsigned shards : {2u, 4u}) {
+        const RunMetrics sharded = runSharded(config, shards, 2000);
+        EXPECT_METRICS_EQ(sharded, serial) << shards << " shards";
+        EXPECT_EQ(sharded.events_executed, serial.events_executed);
+    }
 }
 
 TEST(ParallelParity, PooledLeasesMatchFreshContexts)
@@ -348,8 +336,11 @@ TEST(ParallelParity, PooledLeasesMatchFreshContexts)
         core::SimContext &ctx = pool.lease(config, 4);
         ASSERT_TRUE(ctx.pristine());
         ASSERT_NE(ctx.executor(), nullptr);
-        expectSameMetrics(core::runExperiment(ctx, *workload, params),
-                          fresh, lease ? "reset lease" : "first lease");
+        const RunMetrics leased =
+            core::runExperiment(ctx, *workload, params);
+        EXPECT_METRICS_EQ(leased, fresh)
+            << (lease ? "reset lease" : "first lease");
+        EXPECT_EQ(leased.events_executed, fresh.events_executed);
     }
     EXPECT_EQ(pool.reuses(), 1u);
 
@@ -371,8 +362,10 @@ TEST(ParallelParity, FallbackRunsMatchTheClassicEngine)
         core::runExperiment(config, *classic_wl, params);
     params.sim_threads = 4;
     const auto fallback_wl = workload::makeSplash("Barnes");
-    expectSameMetrics(core::runExperiment(config, *fallback_wl, params),
-                      classic, "splash fallback");
+    const RunMetrics fallback =
+        core::runExperiment(config, *fallback_wl, params);
+    EXPECT_METRICS_EQ(fallback, classic);
+    EXPECT_EQ(fallback.events_executed, classic.events_executed);
 }
 
 } // namespace

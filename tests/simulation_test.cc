@@ -37,8 +37,8 @@ TEST(Simulation, IssuesExactlyTheBudget)
 TEST(Simulation, RunTwiceIsRejected)
 {
     auto workload = workload::makeUniform();
-    core::NetworkSimulation simulation(
-        core::makeConfig(NetworkKind::XBar, MemoryKind::OCM), *workload);
+    core::SimContext ctx(core::makeConfig(NetworkKind::XBar, MemoryKind::OCM));
+    core::NetworkSimulation simulation(ctx, *workload);
     (void)simulation.run();
     EXPECT_THROW((void)simulation.run(), corona::sim::FatalError);
 }
@@ -49,10 +49,8 @@ TEST(Simulation, ThreadMismatchIsFatal)
     params.threads_per_cluster = 4; // 256 threads, system wants 1024.
     workload::SyntheticWorkload workload(workload::Pattern::Uniform,
                                          topology::Geometry(), params);
-    EXPECT_THROW(core::NetworkSimulation(
-                     core::makeConfig(NetworkKind::XBar, MemoryKind::OCM),
-                     workload),
-                 sim::FatalError);
+    core::SimContext ctx(core::makeConfig(NetworkKind::XBar, MemoryKind::OCM));
+    EXPECT_THROW(core::NetworkSimulation(ctx, workload), sim::FatalError);
 }
 
 TEST(Simulation, TinyMshrFileStillCompletes)

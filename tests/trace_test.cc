@@ -1,20 +1,17 @@
 /**
  * @file
- * Unit tests for trace capture, legacy conversion, and replay.
+ * Unit tests for trace capture and replay.
  *
  * The `.ctrace` container itself is covered in ctrace_test.cc; this
- * file exercises the seams around it — round-robin capture helpers,
- * the legacy "CORONATRACE" v1/v2 convert path, and TraceReplayer's
- * replay semantics (per-thread order, wrapping, loop/thread remap
- * knobs, idle threads).
+ * file exercises the seams around it — round-robin capture helpers
+ * and TraceReplayer's replay semantics (per-thread order, wrapping,
+ * loop/thread remap knobs, idle threads).
  */
 
 #include <gtest/gtest.h>
 
 #include <fstream>
-#include <sstream>
 
-#include "sim/logging.hh"
 #include "trace/ctrace.hh"
 #include "trace/replayer.hh"
 #include "workload/synthetic.hh"
@@ -26,7 +23,6 @@ using namespace corona;
 using workload::MissRequest;
 using workload::TraceRecord;
 using workload::TraceReplayer;
-using workload::TraceWriter;
 
 /** Write @p records to a fresh `.ctrace` under the test temp dir. */
 std::string
@@ -41,168 +37,6 @@ writeCtrace(const std::string &name,
         writer.append(record);
     writer.finish();
     return path;
-}
-
-/** Convert an in-memory legacy stream to a `.ctrace` file. */
-std::string
-convertToFile(const std::string &name, std::stringstream &legacy)
-{
-    legacy.seekg(0);
-    const trace::LegacyInfo info = trace::readLegacyInfo(legacy);
-    const std::string path = ::testing::TempDir() + "/" + name;
-    std::ofstream out(path, std::ios::binary);
-    trace::WriterOptions options;
-    options.reference_stream = info.reference_stream;
-    trace::Writer writer(out, info.threads, name, options);
-    trace::convertLegacy(legacy, writer);
-    writer.finish();
-    return path;
-}
-
-/** Decode every block of @p path, grouped per thread in stream
- * order. */
-std::vector<std::vector<TraceRecord>>
-perThreadRecords(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    trace::Reader reader(in, path);
-    std::vector<std::vector<TraceRecord>> per_thread(
-        reader.info().threads);
-    std::vector<TraceRecord> block;
-    for (std::uint32_t i = 0;
-         i < static_cast<std::uint32_t>(reader.blocks().size()); ++i) {
-        reader.readBlock(i, block);
-        auto &thread = per_thread[reader.blocks()[i].thread];
-        thread.insert(thread.end(), block.begin(), block.end());
-    }
-    return per_thread;
-}
-
-TEST(Trace, LegacyConvertRoundTrip)
-{
-    std::stringstream legacy;
-    TraceWriter writer(legacy, 16);
-    std::vector<std::vector<TraceRecord>> originals(16);
-    for (std::uint32_t i = 0; i < 100; ++i) {
-        TraceRecord r;
-        r.thread = i % 16;
-        r.home = i % 64;
-        r.line = static_cast<std::uint64_t>(i) * 64;
-        r.think_time = 1000 + i;
-        r.write = i % 3 == 0 ? 1 : 0;
-        writer.append(r);
-        originals[r.thread].push_back(r);
-    }
-    EXPECT_EQ(writer.written(), 100u);
-
-    const std::string path = convertToFile("legacy_v2.ctrace", legacy);
-    const trace::TraceInfo info = trace::readTraceInfo(path);
-    EXPECT_EQ(info.threads, 16u);
-    EXPECT_EQ(info.records, 100u);
-    EXPECT_FALSE(info.reference_stream);
-    EXPECT_EQ(perThreadRecords(path), originals);
-}
-
-TEST(Trace, LegacyReferenceStreamFlagConverts)
-{
-    std::stringstream legacy;
-    TraceWriter writer(legacy, 8, /*reference_stream=*/true);
-    TraceRecord r{};
-    r.thread = 3;
-    r.line = 128;
-    writer.append(r);
-
-    const std::string path = convertToFile("legacy_ref.ctrace", legacy);
-    EXPECT_TRUE(trace::readTraceInfo(path).reference_stream);
-
-    // Default writes mark a plain miss trace.
-    std::stringstream plain;
-    TraceWriter plainWriter(plain, 8);
-    plainWriter.append(r);
-    const std::string plain_path =
-        convertToFile("legacy_plain.ctrace", plain);
-    EXPECT_FALSE(trace::readTraceInfo(plain_path).reference_stream);
-}
-
-TEST(Trace, LegacyConvertAcceptsVersion1)
-{
-    // Hand-build a v1 header (version = 1, pad = 0) plus one 32-byte
-    // record, exactly as the pre-flags writer laid it out.
-    std::stringstream stream;
-    const char magic[12] = {'C', 'O', 'R', 'O', 'N', 'A',
-                            'T', 'R', 'A', 'C', 'E', '\0'};
-    stream.write(magic, sizeof(magic));
-    const std::uint16_t version = 1;
-    const std::uint16_t pad = 0;
-    const std::uint32_t threads = 2;
-    stream.write(reinterpret_cast<const char *>(&version),
-                 sizeof(version));
-    stream.write(reinterpret_cast<const char *>(&pad), sizeof(pad));
-    stream.write(reinterpret_cast<const char *>(&threads),
-                 sizeof(threads));
-    struct
-    {
-        std::uint32_t thread = 1;
-        std::uint32_t home = 7;
-        std::uint64_t line = 640;
-        std::uint64_t think_time = 99;
-        std::uint8_t write = 1;
-        std::uint8_t padding[7] = {};
-    } packed;
-    stream.write(reinterpret_cast<const char *>(&packed),
-                 sizeof(packed));
-
-    const std::string path = convertToFile("legacy_v1.ctrace", stream);
-    const trace::TraceInfo info = trace::readTraceInfo(path);
-    EXPECT_EQ(info.threads, 2u);
-    EXPECT_FALSE(info.reference_stream);
-    EXPECT_EQ(info.records, 1u);
-    const auto per_thread = perThreadRecords(path);
-    ASSERT_EQ(per_thread[1].size(), 1u);
-    EXPECT_EQ(per_thread[1][0].line, 640u);
-    EXPECT_EQ(per_thread[1][0].home, 7u);
-}
-
-TEST(Trace, LegacyRejectsFutureVersion)
-{
-    std::stringstream stream;
-    TraceWriter writer(stream, 1);
-    std::string bytes = stream.str();
-    bytes[12] = 3; // Bump the version field past anything we write.
-    std::stringstream bumped(bytes);
-    EXPECT_THROW(trace::readLegacyInfo(bumped), sim::FatalError);
-}
-
-TEST(Trace, LegacyRejectsGarbage)
-{
-    std::stringstream garbage("this is not a corona trace at all......");
-    EXPECT_THROW(trace::readLegacyInfo(garbage), sim::FatalError);
-}
-
-TEST(Trace, LegacyConvertRejectsOutOfRangeThread)
-{
-    std::stringstream legacy;
-    TraceWriter writer(legacy, 4);
-    TraceRecord r{};
-    r.thread = 9; // > thread count
-    writer.append(r);
-    EXPECT_THROW(convertToFile("legacy_badthread.ctrace", legacy),
-                 sim::FatalError);
-}
-
-TEST(Trace, LegacyConvertRejectsTornFinalRecord)
-{
-    std::stringstream legacy;
-    TraceWriter writer(legacy, 4);
-    TraceRecord r{};
-    r.thread = 1;
-    writer.append(r);
-    writer.append(r);
-    std::string bytes = legacy.str();
-    bytes.resize(bytes.size() - 13); // Tear the last record.
-    std::stringstream torn(bytes);
-    EXPECT_THROW(convertToFile("legacy_torn.ctrace", torn),
-                 sim::FatalError);
 }
 
 TEST(Trace, CaptureReferenceTraceDrawsReferenceStream)

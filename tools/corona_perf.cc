@@ -323,14 +323,7 @@ runParallelPass(const core::SystemConfig &config, unsigned sim_threads,
 bool
 sameMetrics(const core::RunMetrics &a, const core::RunMetrics &b)
 {
-    return a.requests_issued == b.requests_issued &&
-           a.requests_coalesced == b.requests_coalesced &&
-           a.elapsed == b.elapsed &&
-           a.achieved_bytes_per_second == b.achieved_bytes_per_second &&
-           a.avg_latency_ns == b.avg_latency_ns &&
-           a.p95_latency_ns == b.p95_latency_ns &&
-           a.token_wait_ns == b.token_wait_ns &&
-           a.hop_traversals == b.hop_traversals &&
+    return core::differingFields(a, b).empty() &&
            a.events_executed == b.events_executed;
 }
 

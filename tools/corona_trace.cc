@@ -1,7 +1,7 @@
 /**
  * @file
- * corona-trace — create, convert, and inspect `.ctrace` workload
- * traces (see README "Trace workloads").
+ * corona-trace — create and inspect `.ctrace` workload traces (see
+ * README "Trace workloads").
  *
  *   corona-trace capture WORKLOAD OUT.ctrace [--config NAME]
  *                [--requests N] [--seed S] [--name LABEL]
@@ -9,9 +9,6 @@
  *       simulation, capturing the annotated miss stream the run
  *       actually draws (the paper's two-stage methodology: the
  *       capture pass stands in for the COTSon full-system run)
- *   corona-trace convert IN.trace OUT.ctrace [--name LABEL]
- *       re-encode a legacy fixed-record trace (v1/v2) as a v1
- *       .ctrace container
  *   corona-trace inspect FILE.ctrace [--threads] [--records N]
  *       validate the container and print its header, block census,
  *       and optionally the first N records per thread
@@ -50,15 +47,13 @@ using namespace corona;
 void
 usage(std::ostream &os)
 {
-    os << "corona-trace — create, convert, and inspect .ctrace "
-          "workload traces\n\n"
+    os << "corona-trace — create and inspect .ctrace workload "
+          "traces\n\n"
           "  corona-trace capture WORKLOAD OUT.ctrace [--config NAME]\n"
           "               [--requests N] [--seed S] [--name LABEL]\n"
           "      simulate the named generator (knobs allowed, e.g.\n"
           "      \"Uniform mean_think=1000\") and capture the miss\n"
           "      stream the run draws\n"
-          "  corona-trace convert IN.trace OUT.ctrace [--name LABEL]\n"
-          "      re-encode a legacy fixed-record trace as .ctrace\n"
           "  corona-trace inspect FILE.ctrace [--threads] "
           "[--records N]\n"
           "      validate and print header + block census\n"
@@ -216,39 +211,6 @@ captureCommand(OptionParser &options)
     return 0;
 }
 
-// ------------------------------------------------------------ convert
-
-int
-convertCommand(OptionParser &options)
-{
-    std::string label;
-    options.value("--name", label);
-    const auto &positionals = options.positionals();
-    if (positionals.size() != 2)
-        die("convert needs IN.trace and OUT.ctrace (--help)");
-    const std::string &in_path = positionals[0];
-    const std::string &out_path = positionals[1];
-
-    std::ifstream in(in_path, std::ios::binary);
-    if (!in)
-        die("cannot read \"" + in_path + "\"");
-    const trace::LegacyInfo legacy = trace::readLegacyInfo(in);
-
-    trace::WriterOptions writer_options;
-    writer_options.reference_stream = legacy.reference_stream;
-    std::ofstream out = openOut(out_path);
-    trace::Writer writer(out, legacy.threads,
-                         label.empty() ? in_path : label,
-                         writer_options);
-    const std::uint64_t converted = trace::convertLegacy(in, writer);
-    writer.finish();
-    finishOut(out, out_path);
-
-    std::cout << "converted " << converted << " records ("
-              << legacy.threads << " threads) to " << out_path << "\n";
-    return 0;
-}
-
 // ------------------------------------------------------------ inspect
 
 int
@@ -391,8 +353,6 @@ main(int argc, char **argv)
     try {
         if (command == "capture")
             return captureCommand(options);
-        if (command == "convert")
-            return convertCommand(options);
         if (command == "inspect")
             return inspectCommand(options);
         if (command == "synth")
