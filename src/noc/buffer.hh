@@ -12,8 +12,8 @@
 #define CORONA_NOC_BUFFER_HH
 
 #include <cstddef>
-#include <deque>
 #include <functional>
+#include <vector>
 
 #include "noc/message.hh"
 #include "stats/stats.hh"
@@ -34,8 +34,8 @@ class CreditBuffer
     explicit CreditBuffer(std::size_t capacity);
 
     std::size_t capacity() const { return _capacity; }
-    std::size_t size() const { return _fifo.size() + _reserved; }
-    bool empty() const { return _fifo.empty(); }
+    std::size_t size() const { return _count + _reserved; }
+    bool empty() const { return _count == 0; }
 
     /** Credits available to senders. */
     std::size_t credits() const { return _capacity - size(); }
@@ -67,11 +67,12 @@ class CreditBuffer
     void onDrain(std::function<void()> cb) { _onDrain = std::move(cb); }
 
     /** Empty the FIFO, drop reservations, and zero the statistics.
-     * The drain callback wiring is kept. */
+     * The drain callback wiring and the ring storage are kept. */
     void
     reset()
     {
-        _fifo.clear();
+        _head = 0;
+        _count = 0;
         _reserved = 0;
         _occupancy.reset();
         _peak = 0;
@@ -86,7 +87,12 @@ class CreditBuffer
   private:
     std::size_t _capacity;
     std::size_t _reserved = 0;
-    std::deque<Message> _fifo;
+    /** FIFO ring: _count messages from slot _head, wrapping. It grows
+     * (doubling, capped at the capacity) only when full, and never
+     * shrinks, so a steady message stream allocates nothing. */
+    std::vector<Message> _ring;
+    std::size_t _head = 0;
+    std::size_t _count = 0;
     std::function<void()> _onDrain;
     stats::TimeWeighted _occupancy;
     std::size_t _peak = 0;

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <string>
 
+#include "sim/inline_function.hh"
 #include "sim/types.hh"
 #include "topology/geometry.hh"
 
@@ -66,6 +67,13 @@ struct Message
     /** Size on the wire, bytes. */
     std::uint32_t bytes() const { return wireBytes(kind); }
 };
+
+// The hot-path capture contract: an event carrying `this` plus a full
+// message (links, the ideal network, the hub's local path) is stored
+// inline in the kernel's event slot rather than on the heap.
+static_assert(sizeof(void *) + sizeof(Message) <=
+                  sim::InlineFunction<void()>::inlineCapacity,
+              "a [ptr, Message] capture must fit the inline event slot");
 
 } // namespace corona::noc
 

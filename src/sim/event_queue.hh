@@ -24,9 +24,10 @@
  *    same-tick event can be appended directly, which preserves the
  *    global FIFO contract exactly.
  *
- * Callbacks are InlineFunctions: captures up to 48 B (this + a full
- * noc::Message) are stored in the event slot itself, so the steady-state
- * hot path performs no heap allocation per event.
+ * Callbacks are InlineFunctions: captures up to 56 B (a pointer plus a
+ * full noc::Message, pinned by a static_assert in noc/message.hh) are
+ * stored in the event slot itself, so scheduling such an event never
+ * allocates.
  */
 
 #ifndef CORONA_SIM_EVENT_QUEUE_HH
@@ -135,7 +136,7 @@ class EventQueue
 
     /** A far-future event awaiting promotion into the ring. The
      * callback lives in a side slab so heap percolation moves 24-byte
-     * PODs, not 56-byte callables. */
+     * PODs, not 64-byte callables. */
     struct HeapEntry
     {
         Tick when;

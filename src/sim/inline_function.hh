@@ -6,8 +6,10 @@
  * run; wrapping each in a std::function heap-allocates whenever the
  * capture list outgrows the implementation's tiny internal buffer
  * (typically 16 B). InlineFunction stores captures up to inlineCapacity
- * bytes (48 B — enough for `this` plus a full noc::Message) directly in
- * the object and only falls back to the heap beyond that. It is
+ * bytes (56 B — a pointer plus a full 48-B noc::Message) directly in
+ * the object and only falls back to the heap beyond that. With the ops
+ * pointer the object is 64 B, the same as a 48-B buffer padded to
+ * max_align_t would be. It is
  * move-only, so callables may own move-only state (including other
  * InlineFunctions) without the copyability tax std::function imposes.
  */
@@ -27,14 +29,14 @@ template <typename Signature>
 class InlineFunction;
 
 /**
- * Move-only callable with a 48-byte inline capture buffer.
+ * Move-only callable with a 56-byte inline capture buffer.
  */
 template <typename R, typename... Args>
 class InlineFunction<R(Args...)>
 {
   public:
     /** Captures at most this large live in the object itself. */
-    static constexpr std::size_t inlineCapacity = 48;
+    static constexpr std::size_t inlineCapacity = 56;
 
     InlineFunction() = default;
     InlineFunction(std::nullptr_t) {}

@@ -25,13 +25,29 @@ OpticalChannel::OpticalChannel(sim::EventQueue &eq,
     // When the home hub drains a message, hand freed slots to the
     // longest-waiting blocked sources.
     _sink.onDrain([this] {
-        while (!_creditWaiters.empty() && _sink.hasCredit()) {
-            const topology::ClusterId src = _creditWaiters.front();
-            _creditWaiters.pop_front();
-            _sources[src].creditQueued = false;
+        while (_waitHead != nil && _sink.hasCredit()) {
+            const topology::ClusterId src = _waitHead;
+            Source &source = _sources[src];
+            _waitHead = source.nextWaiter;
+            if (_waitHead == nil)
+                _waitTail = nil;
+            source.creditQueued = false;
             tryArbitrate(src);
         }
     });
+}
+
+std::uint32_t
+OpticalChannel::allocNode(const noc::Message &msg)
+{
+    if (_freeNode == nil) {
+        _pool.push_back(Node{msg, nil});
+        return static_cast<std::uint32_t>(_pool.size() - 1);
+    }
+    const std::uint32_t node = _freeNode;
+    _freeNode = _pool[node].next;
+    _pool[node] = Node{msg, nil};
+    return node;
 }
 
 sim::Tick
@@ -70,9 +86,15 @@ OpticalChannel::send(const noc::Message &msg)
         sim::panic("OpticalChannel::send: message for another channel");
     if (msg.src >= _clusters)
         sim::panic("OpticalChannel::send: bad source cluster");
-    noc::Message stamped = msg;
-    stamped.injected = _eq.now();
-    _sources[msg.src].pending.push_back(stamped);
+    const std::uint32_t node = allocNode(msg);
+    _pool[node].msg.injected = _eq.now();
+    Source &source = _sources[msg.src];
+    if (source.tail == nil)
+        source.head = node;
+    else
+        _pool[source.tail].next = node;
+    source.tail = node;
+    ++_queued;
     tryArbitrate(msg.src);
 }
 
@@ -80,7 +102,7 @@ void
 OpticalChannel::tryArbitrate(topology::ClusterId src)
 {
     Source &source = _sources[src];
-    if (source.arbitrating || source.pending.empty())
+    if (source.arbitrating || source.head == nil)
         return;
     if (!source.creditHeld) {
         if (source.creditQueued)
@@ -89,7 +111,13 @@ OpticalChannel::tryArbitrate(topology::ClusterId src)
             // Home buffer full: wait for a drain (flow control delays
             // the message before arbitration, as in Section 5).
             source.creditQueued = true;
-            _creditWaiters.push_back(src);
+            source.nextWaiter = nil;
+            const auto waiter = static_cast<std::uint32_t>(src);
+            if (_waitTail == nil)
+                _waitHead = waiter;
+            else
+                _sources[_waitTail].nextWaiter = waiter;
+            _waitTail = waiter;
             return;
         }
         source.creditHeld = true;
@@ -107,16 +135,15 @@ OpticalChannel::transmit(topology::ClusterId src)
 void
 OpticalChannel::sendNext(topology::ClusterId src, std::size_t remaining)
 {
-    Source &head_source = _sources[src];
-    if (head_source.pending.empty())
+    const Source &head_source = _sources[src];
+    if (head_source.head == nil)
         sim::panic("OpticalChannel::sendNext: nothing pending");
 
     // The head message stays queued until its serialization completes
     // (the source is arbitrating, so nothing else consumes it) — the
-    // scheduled event then captures only (this, src, remaining) and
-    // fits the kernel's inline buffer.
+    // scheduled event then captures only (this, src, remaining).
     const sim::Tick ser =
-        serializationTime(head_source.pending.front().bytes());
+        serializationTime(_pool[head_source.head].msg.bytes());
     _busyTime += ser;
     if (_tracer)
         _tracer->record(obs::TraceKind::ChannelGrant, _home, _eq.now(),
@@ -124,11 +151,16 @@ OpticalChannel::sendNext(topology::ClusterId src, std::size_t remaining)
 
     _eq.scheduleIn(ser, [this, src, remaining] {
         Source &source = _sources[src];
-        const noc::Message msg = source.pending.front();
-        source.pending.pop_front();
+        const std::uint32_t node = source.head;
+        source.head = _pool[node].next;
+        if (source.head == nil)
+            source.tail = nil;
+        --_queued;
 
-        _eq.scheduleIn(propagationTime(src), [this, msg] {
-            _sink.push(msg, _eq.now(), /*reserved=*/true);
+        // In flight, the message keeps its pool slot.
+        _eq.scheduleIn(propagationTime(src), [this, node] {
+            _sink.push(_pool[node].msg, _eq.now(), /*reserved=*/true);
+            freeNode(node);
             startDrain();
         });
 
@@ -136,7 +168,7 @@ OpticalChannel::sendNext(topology::ClusterId src, std::size_t remaining)
 
         // Continue the batch while the budget, the backlog, and the
         // home buffer's credits allow.
-        if (remaining > 1 && !source.pending.empty() &&
+        if (remaining > 1 && source.head != nil &&
             _sink.reserve()) {
             source.creditHeld = true;
             sendNext(src, remaining - 1);
@@ -168,7 +200,11 @@ OpticalChannel::reset()
     _sink.reset();
     for (Source &source : _sources)
         source = Source{};
-    _creditWaiters.clear();
+    _pool.clear();
+    _freeNode = nil;
+    _waitHead = nil;
+    _waitTail = nil;
+    _queued = 0;
     _messagesDelivered = 0;
     _bytesDelivered = 0;
     _busyTime = 0;

@@ -18,9 +18,8 @@
 #ifndef CORONA_XBAR_OPTICAL_CHANNEL_HH
 #define CORONA_XBAR_OPTICAL_CHANNEL_HH
 
-#include <deque>
+#include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "noc/buffer.hh"
@@ -108,15 +107,9 @@ class OpticalChannel
     /** Messages occupying the home input buffer right now. */
     std::size_t sinkDepth() const { return _sink.size(); }
 
-    /** Messages queued at sources awaiting the token. */
-    std::size_t
-    queuedMessages() const
-    {
-        std::size_t queued = 0;
-        for (const Source &source : _sources)
-            queued += source.pending.size();
-        return queued;
-    }
+    /** Messages queued at sources awaiting the token (a message
+     * leaves the count when its serialization completes). */
+    std::size_t queuedMessages() const { return _queued; }
 
     /**
      * Attach a trace sink (null detaches) to the channel and its
@@ -131,20 +124,51 @@ class OpticalChannel
     }
 
     /** Restore the pristine post-construction state: empty queues, a
-     * free token, zeroed statistics. Delivery wiring is kept. Requires
+     * free token, zeroed statistics. Delivery wiring is kept, and so is
+     * the message pool's storage: a reset allocates nothing. Requires
      * the event queue to be reset alongside. */
     void reset();
 
   private:
-    /** Per-source sending state: queued messages awaiting the token. */
+    /** End of a pool or waiter list. */
+    static constexpr std::uint32_t nil = ~std::uint32_t{0};
+
+    /** One message slot of the channel's pool. A message keeps its
+     * slot from send() until it lands in the home buffer, so the
+     * propagation event captures only the slot index. */
+    struct Node
+    {
+        noc::Message msg;
+        /** Next message from the same source, or next free slot. */
+        std::uint32_t next;
+    };
+
+    /** Per-source sending state: a FIFO of pool slots awaiting the
+     * token, linked through Node::next. */
     struct Source
     {
-        std::deque<noc::Message> pending;
+        std::uint32_t head = nil;
+        std::uint32_t tail = nil;
+        /** Next source in the credit-waiter FIFO. */
+        std::uint32_t nextWaiter = nil;
         bool arbitrating = false;
         bool creditHeld = false;
-        /** Parked in _creditWaiters awaiting a home-buffer slot. */
+        /** Parked in the credit-waiter FIFO awaiting a home-buffer
+         * slot. */
         bool creditQueued = false;
     };
+
+    /** Take a free pool slot (growing the pool only when none is
+     * free) and store @p msg in it. */
+    std::uint32_t allocNode(const noc::Message &msg);
+
+    /** Return slot @p node to the free list. */
+    void
+    freeNode(std::uint32_t node)
+    {
+        _pool[node].next = _freeNode;
+        _freeNode = node;
+    }
 
     /** Begin arbitration for a source when it has work and credit. */
     void tryArbitrate(topology::ClusterId src);
@@ -171,7 +195,12 @@ class OpticalChannel
     photonics::OpticalClock _opticalClock;
     noc::CreditBuffer _sink;
     std::vector<Source> _sources;
-    std::deque<topology::ClusterId> _creditWaiters;
+    std::vector<Node> _pool;
+    std::uint32_t _freeNode = nil;
+    /** Sources blocked on home-buffer credit, longest-waiting first. */
+    std::uint32_t _waitHead = nil;
+    std::uint32_t _waitTail = nil;
+    std::size_t _queued = 0;
     Deliver _deliver;
 
     std::uint64_t _messagesDelivered = 0;

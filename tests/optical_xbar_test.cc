@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <tuple>
 #include <vector>
 
+#include "obs/trace.hh"
 #include "sim/clock.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
@@ -182,6 +184,138 @@ TEST(OpticalChannel, BatchRespectsLimitUnderContention)
         EXPECT_LE(run_length, 2u)
             << "batch limit must bound monopolization";
     }
+}
+
+/** One delivery seen by the home hub. */
+using Delivery = std::tuple<Tick, topology::ClusterId, std::uint64_t, Tick>;
+
+/** Send @p per_source messages from each of @p sources to @p channel,
+ * round-robin across sources; each tag is src * 1000 + sequence, the
+ * sequence starting at @p first. */
+void
+sendInterleaved(OpticalChannel &channel,
+                const std::vector<topology::ClusterId> &sources,
+                std::uint64_t per_source, std::uint64_t first = 0)
+{
+    for (std::uint64_t i = first; i < first + per_source; ++i) {
+        for (topology::ClusterId src : sources) {
+            channel.send(makeMsg(src, channel.home(),
+                                 i % 2 ? MsgKind::ReadResp
+                                       : MsgKind::ReadReq,
+                                 src * 1000 + i));
+        }
+    }
+}
+
+/** Record every delivery of @p channel as (tick, src, tag, injected). */
+void
+recordDeliveries(EventQueue &eq, OpticalChannel &channel,
+                 std::vector<Delivery> &out)
+{
+    channel.setDeliver([&eq, &out](const Message &msg) {
+        out.emplace_back(eq.now(), msg.src, msg.tag, msg.injected);
+    });
+}
+
+TEST(OpticalChannel, PerSourceOrderHoldsUnderCreditStalls)
+{
+    // A one-slot home buffer parks all but one ready source on credit
+    // at a time; each source's messages must still arrive in order.
+    EventQueue eq;
+    ChannelParams params;
+    params.sink_buffer_depth = 1;
+    OpticalChannel channel(eq, sim::coronaClock(), 64, 0, params);
+    std::vector<Delivery> got;
+    recordDeliveries(eq, channel, got);
+    const std::vector<topology::ClusterId> sources = {5, 17, 33, 60};
+    sendInterleaved(channel, sources, 12);
+    eq.run(3000);
+    sendInterleaved(channel, {17, 2}, 5, 12); // Joins mid-run.
+    eq.run();
+
+    ASSERT_EQ(got.size(), 4u * 12u + 2u * 5u);
+    std::map<topology::ClusterId, std::uint64_t> next = {{2, 12}};
+    std::size_t switches = 0;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        const auto src = std::get<1>(got[i]);
+        EXPECT_EQ(std::get<2>(got[i]), src * 1000 + next[src]++)
+            << "delivery " << i;
+        if (i > 0 && std::get<1>(got[i - 1]) != src)
+            ++switches;
+    }
+    EXPECT_EQ(next[17], 17u); // 12, then 5 more through one FIFO.
+    EXPECT_EQ(next[2], 17u);
+    EXPECT_GT(switches, 10u) << "sources must interleave";
+    EXPECT_EQ(channel.queuedMessages(), 0u);
+}
+
+TEST(OpticalChannel, QueuedMessagesMatchesAHandCount)
+{
+    // A message is queued from send() until its serialization ends,
+    // which is the end tick of its ChannelGrant span.
+    EventQueue eq;
+    ChannelParams params;
+    params.sink_buffer_depth = 2;
+    OpticalChannel channel(eq, sim::coronaClock(), 64, 0, params);
+    obs::EventTracer tracer(1 << 12);
+    channel.setTracer(&tracer);
+    channel.setDeliver([](const Message &) {});
+    sendInterleaved(channel, {3, 9, 40}, 6);
+    std::size_t sent = 18;
+    EXPECT_EQ(channel.queuedMessages(), sent);
+    std::size_t checks = 0;
+    for (Tick t = 0; !eq.empty(); t += 50) {
+        eq.run(t);
+        if (t == 2000) {
+            sendInterleaved(channel, {9, 61}, 3);
+            sent += 6;
+        }
+        std::size_t departed = 0;
+        for (const obs::TraceEvent &ev : tracer.events()) {
+            if (ev.kind == obs::TraceKind::ChannelGrant && ev.end <= t)
+                ++departed;
+        }
+        ASSERT_EQ(channel.queuedMessages(), sent - departed)
+            << "at tick " << t;
+        ++checks;
+    }
+    EXPECT_EQ(channel.queuedMessages(), 0u);
+    EXPECT_GT(checks, 20u);
+}
+
+TEST(OpticalChannel, ResetRunMatchesAFreshChannel)
+{
+    ChannelParams params;
+    params.sink_buffer_depth = 1;
+    params.max_batch = 3;
+    const std::vector<topology::ClusterId> sources = {1, 30, 31, 63};
+
+    EventQueue fresh_eq;
+    OpticalChannel fresh(fresh_eq, sim::coronaClock(), 64, 0, params);
+    std::vector<Delivery> want;
+    recordDeliveries(fresh_eq, fresh, want);
+    sendInterleaved(fresh, sources, 10);
+    fresh_eq.run();
+
+    // Dirty a second channel with different traffic, stopped mid-run
+    // so queues, in-flight messages and credit waiters are all live.
+    EventQueue eq;
+    OpticalChannel reused(eq, sim::coronaClock(), 64, 0, params);
+    std::vector<Delivery> got;
+    recordDeliveries(eq, reused, got);
+    sendInterleaved(reused, {7, 8, 9, 50, 51}, 9);
+    eq.run(4000);
+    ASSERT_GT(reused.queuedMessages(), 0u);
+    eq.reset();
+    reused.reset();
+    EXPECT_EQ(reused.queuedMessages(), 0u);
+    got.clear();
+    sendInterleaved(reused, sources, 10);
+    eq.run();
+
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(reused.messagesDelivered(), fresh.messagesDelivered());
+    EXPECT_EQ(reused.busyTime(), fresh.busyTime());
 }
 
 TEST(OpticalXbar, AggregateBandwidthIs20TBps)

@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "noc/message.hh"
 #include "sim/clock.hh"
 #include "sim/event_queue.hh"
 #include "sim/inline_function.hh"
@@ -414,19 +415,21 @@ TEST(InlineFunction, SmallCapturesStayInline)
     EXPECT_EQ(hits, 2);
 }
 
-TEST(InlineFunction, FortyEightByteCapturesStayInline)
+TEST(InlineFunction, PointerPlusMessageCapturesStayInline)
 {
-    // The hot-path contract: `this` plus a full noc::Message (48 B
-    // total) must not allocate.
-    struct Blob
-    {
-        char bytes[48];
-    };
-    Blob blob{};
-    blob.bytes[0] = 7;
-    sim::InlineFunction<int()> fn([blob] { return blob.bytes[0]; });
+    // The hot-path contract: `this` plus a full noc::Message (56 B)
+    // must not allocate, and the slot must not grow past 64 B for it.
+    noc::Message msg;
+    msg.tag = 7;
+    int hits = 0;
+    int *p = &hits;
+    auto capture = [p, msg] { *p += static_cast<int>(msg.tag); };
+    static_assert(sizeof(capture) == sizeof(void *) + sizeof(noc::Message));
+    sim::InlineFunction<void()> fn(capture);
     EXPECT_TRUE(fn.isInline());
-    EXPECT_EQ(fn(), 7);
+    fn();
+    EXPECT_EQ(hits, 7);
+    EXPECT_LE(sizeof(sim::EventQueue::Callback), 64u);
 }
 
 TEST(InlineFunction, OversizeCapturesFallBackToTheHeap)
