@@ -16,6 +16,11 @@
 #      merges per-shard rollups into bytes identical to the whole-run
 #      rollup.csv; `corona-stats follow --once` and `corona-stats
 #      report` render the shard heartbeats and the merged rollup.
+#   5. Overhead ceiling: a 16-seed Uniform grid on XBar/OCM runs five
+#      times observed and five times unobserved, interleaved, and the
+#      median observed run may take at most 1.5x the median unobserved
+#      one. Loose enough for a noisy machine, tight enough to catch the
+#      sampler's fast path regressing toward the 2.6x it replaced.
 #
 # Usage: scripts/obs_smoke.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -154,5 +159,60 @@ grep -q "^campaign rollup:" "${DIR}/report.txt" || {
   exit 1
 }
 
+# ---- 5. Observability overhead stays under a 1.5x ceiling.
+OFF="${DIR}/overhead-off.scenario"
+cat > "${OFF}" <<EOF
+[scenario]
+name = obs-overhead
+requests = 2000
+seed_policy = derived
+seeds = $(seq -s, 0 15)
+
+[workloads]
+workload = Uniform
+
+[configs]
+config = XBar/OCM
+
+[execution]
+progress = off
+EOF
+
+# Appends the wall-clock nanoseconds of one single-worker run of
+# scenario $2 to overhead-$1.ns.
+time_run() {
+  local start end
+  start="$(date +%s%N)"
+  CORONA_JOBS=1 "${BUILD}/corona-run" --quiet --no-table "$2"
+  end="$(date +%s%N)"
+  echo $((end - start)) >> "${DIR}/overhead-$1.ns"
+}
+
+for pass in 0 1 2 3 4; do
+  # A fresh obs dir per pass: rewriting an earlier pass's files is
+  # filesystem work a real campaign never does.
+  ON="${DIR}/overhead-on${pass}.scenario"
+  { cat "${OFF}"
+    printf '\n[observability]\nsample_period = 1000000\n'
+    printf 'trace_capacity = 4096\ndir = %s\n' "${DIR}/overhead${pass}"
+  } > "${ON}"
+  # Alternate which side goes first so drift favours neither.
+  if [ $((pass % 2)) -eq 0 ]; then
+    time_run on "${ON}"; time_run off "${OFF}"
+  else
+    time_run off "${OFF}"; time_run on "${ON}"
+  fi
+done
+median_ns() { sort -n "$1" | sed -n 3p; }
+ratio="$(awk -v on="$(median_ns "${DIR}/overhead-on.ns")" \
+             -v off="$(median_ns "${DIR}/overhead-off.ns")" \
+             'BEGIN { printf "%.3f", on / off }')"
+awk -v r="${ratio}" 'BEGIN { exit !(r <= 1.5) }' || {
+  echo "obs smoke: observability overhead x${ratio} (median of 5" \
+       "passes) exceeds the 1.5x ceiling" >&2
+  exit 1
+}
+
 echo "obs smoke: OK (file shapes valid, sink off-parity, obs bytes" \
-     "worker-count invariant, rollup shard-merge deterministic)"
+     "worker-count invariant, rollup shard-merge deterministic," \
+     "obs overhead x${ratio})"

@@ -231,7 +231,6 @@ EventQueue::reset()
                 Bucket &bucket = _ring[word * 64 + bit];
                 bucket.entries.clear();
                 bucket.head = 0;
-                ++_resetBucketsWalked;
             }
             _occupied[word] = 0;
         }

@@ -93,14 +93,6 @@ class EventQueue
      * global minimum next tick across several queues. */
     Tick nextTick() const { return nextEventTick(); }
 
-    /** Cumulative ring buckets cleared by reset() over this queue's
-     * lifetime (never zeroed by reset itself): the pooled-lease cost
-     * metric corona-perf's grid arm reports. */
-    std::uint64_t resetBucketsWalked() const
-    {
-        return _resetBucketsWalked;
-    }
-
     /**
      * Run until the queue drains or @p limit is reached.
      *
@@ -198,7 +190,6 @@ class EventQueue
     Tick _now = 0;
     std::uint64_t _nextSeq = 0;
     std::uint64_t _executed = 0;
-    std::uint64_t _resetBucketsWalked = 0;
 };
 
 } // namespace corona::sim

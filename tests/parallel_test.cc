@@ -288,11 +288,12 @@ RunMetrics
 runSharded(const SystemConfig &config, unsigned sim_threads,
            std::uint64_t requests)
 {
-    const auto workload = workload::makeUniform();
+    workload::SyntheticWorkload workload(
+        workload::Pattern::Uniform, topology::Geometry(config.clusters));
     SimParams params;
     params.requests = requests;
     params.sim_threads = sim_threads;
-    return core::runExperiment(config, *workload, params);
+    return core::runExperiment(config, workload, params);
 }
 
 TEST(ParallelParity, CrossbarMetricsAreShardCountInvariant)
@@ -302,7 +303,8 @@ TEST(ParallelParity, CrossbarMetricsAreShardCountInvariant)
     const RunMetrics serial = runSharded(config, 1, 3000);
     // Exact equality, not near-equality: the sharded engine promises
     // bit-identical results at every shard count.
-    for (const unsigned shards : {2u, 4u}) {
+    // 3 shards split the 64 clusters unevenly.
+    for (const unsigned shards : {2u, 3u, 4u, 8u}) {
         const RunMetrics sharded = runSharded(config, shards, 3000);
         EXPECT_METRICS_EQ(sharded, serial) << shards << " shards";
         EXPECT_EQ(sharded.events_executed, serial.events_executed);
@@ -314,11 +316,26 @@ TEST(ParallelParity, MeshMetricsAreShardCountInvariant)
     const auto config = core::makeConfig(NetworkKind::HMesh,
                                          MemoryKind::ECM);
     const RunMetrics serial = runSharded(config, 1, 2000);
-    for (const unsigned shards : {2u, 4u}) {
+    for (const unsigned shards : {2u, 3u, 4u, 8u}) {
         const RunMetrics sharded = runSharded(config, shards, 2000);
         EXPECT_METRICS_EQ(sharded, serial) << shards << " shards";
         EXPECT_EQ(sharded.events_executed, serial.events_executed);
     }
+}
+
+TEST(ParallelParity, WideCrossbarMetricsMatchAtEightShards)
+{
+    // The paper's largest crossbar: 256 clusters, 32 per shard.
+    auto config = core::makeConfig(NetworkKind::XBar, MemoryKind::OCM);
+    config.clusters = 256;
+    const workload::SyntheticWorkload uniform(
+        workload::Pattern::Uniform, topology::Geometry(config.clusters));
+    ASSERT_EQ(core::effectiveSimThreads(8, config, uniform, 0, false), 8u)
+        << "a matching workload must not fall back to serial";
+    const RunMetrics serial = runSharded(config, 1, 5000);
+    const RunMetrics sharded = runSharded(config, 8, 5000);
+    EXPECT_METRICS_EQ(sharded, serial);
+    EXPECT_EQ(sharded.events_executed, serial.events_executed);
 }
 
 TEST(ParallelParity, PooledLeasesMatchFreshContexts)
