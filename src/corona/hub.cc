@@ -13,8 +13,7 @@ Hub::Hub(sim::EventQueue &eq, topology::ClusterId cluster,
     _mshrs.onFree([this] {
         if (_stalled.empty())
             return;
-        auto retry = std::move(_stalled.front());
-        _stalled.pop_front();
+        auto retry = _stalled.pop_front();
         retry();
     });
 }
@@ -23,15 +22,15 @@ Hub::Issue
 Hub::issueMiss(topology::Addr line, topology::ClusterId home, bool write,
                FillFn fill)
 {
-    if (_mshrs.outstanding(line)) {
-        _mshrs.coalesce(line, std::move(fill));
+    switch (_mshrs.join(line, _eq.now(), std::move(fill))) {
+      case memory::MshrFile::Join::Coalesced:
         return Issue::Coalesced;
-    }
-    if (!_mshrs.allocate(line, _eq.now())) {
+      case memory::MshrFile::Join::Full:
         _mshrs.noteFullStall();
         return Issue::MshrFull;
+      case memory::MshrFile::Join::Allocated:
+        break; // Primary miss: fill is its first waiter.
     }
-    _mshrs.coalesce(line, std::move(fill)); // Primary waiter.
 
     noc::Message request;
     request.id = _nextId++;
@@ -121,9 +120,7 @@ Hub::handleResponse(const noc::Message &msg)
 void
 Hub::completeFill(topology::Addr line)
 {
-    auto wakers = _mshrs.retire(line, _eq.now());
-    for (auto &waker : wakers)
-        waker();
+    _mshrs.retire(line, _eq.now());
 }
 
 } // namespace corona::core

@@ -14,13 +14,12 @@
 #ifndef CORONA_CORONA_HUB_HH
 #define CORONA_CORONA_HUB_HH
 
-#include <deque>
-
 #include "memory/memory_controller.hh"
 #include "memory/mshr.hh"
 #include "noc/interconnect.hh"
 #include "sim/event_queue.hh"
 #include "sim/inline_function.hh"
+#include "sim/ring.hh"
 
 namespace corona::core {
 
@@ -125,7 +124,7 @@ class Hub
     memory::MemoryController &_mc;
     memory::MshrFile _mshrs;
     sim::Tick _localHop;
-    std::deque<sim::InlineFunction<void()>> _stalled;
+    sim::Ring<sim::InlineFunction<void()>> _stalled;
 
     std::uint64_t _networkRequests = 0;
     std::uint64_t _localRequests = 0;

@@ -57,7 +57,18 @@ MemoryController::access(const noc::Message &request, topology::Addr addr,
         request.kind != noc::MsgKind::WriteReq) {
         sim::panic("MemoryController::access: not a memory request");
     }
-    _queue.push_back(Pending{request, addr, std::move(complete), _eq.now()});
+    if (_freeSlots.empty()) {
+        _freeSlots.push_back(static_cast<std::uint32_t>(_inflight.size()));
+        _inflight.emplace_back();
+    }
+    const std::uint32_t slot = _freeSlots.back();
+    _freeSlots.pop_back();
+    Pending &pending = _inflight[slot];
+    pending.request = request;
+    pending.addr = addr;
+    pending.complete = std::move(complete);
+    pending.arrived = _eq.now();
+    _queue.push_back(slot);
     _peakQueue = std::max(_peakQueue, _queue.size());
     tryStart();
 }
@@ -67,8 +78,8 @@ MemoryController::tryStart()
 {
     if (_busy || _queue.empty())
         return;
-    Pending pending = std::move(_queue.front());
-    _queue.pop_front();
+    const std::uint32_t slot = _queue.pop_front();
+    const Pending &pending = _inflight[slot];
     _busy = true;
 
     const sim::Tick start = _eq.now();
@@ -88,18 +99,6 @@ MemoryController::tryStart()
     const sim::Tick data_ready =
         std::max(start + ser, array_done) + _params.link_delay;
 
-    // Park the request in an in-flight slot so the completion event
-    // captures only (this, slot, tick) and stays inline.
-    std::size_t slot;
-    if (_freeSlots.empty()) {
-        slot = _inflight.size();
-        _inflight.push_back(std::move(pending));
-    } else {
-        slot = _freeSlots.back();
-        _freeSlots.pop_back();
-        _inflight[slot] = std::move(pending);
-    }
-
     // The link frees after serialization; the array pipeline overlaps.
     _eq.scheduleIn(ser, [this] {
         _busy = false;
@@ -111,10 +110,9 @@ MemoryController::tryStart()
 }
 
 void
-MemoryController::finish(std::size_t slot, sim::Tick data_ready)
+MemoryController::finish(std::uint32_t slot, sim::Tick data_ready)
 {
-    Pending pending = std::move(_inflight[slot]);
-    _freeSlots.push_back(slot);
+    Pending &pending = _inflight[slot];
     ++_accesses;
     _bytesMoved += noc::cacheLineBytes;
     _serviceTime.sample(static_cast<double>(data_ready - pending.arrived));
@@ -131,7 +129,11 @@ MemoryController::finish(std::size_t slot, sim::Tick data_ready)
                         ? noc::MsgKind::ReadResp
                         : noc::MsgKind::WriteAck;
     response.tag = pending.request.tag;
-    pending.complete(response);
+    // Free the slot before completing: the callback may issue a new
+    // access that reuses it.
+    Complete complete = std::move(pending.complete);
+    _freeSlots.push_back(slot);
+    complete(response);
 }
 
 void

@@ -13,7 +13,7 @@
 #ifndef CORONA_MEMORY_MEMORY_CONTROLLER_HH
 #define CORONA_MEMORY_MEMORY_CONTROLLER_HH
 
-#include <deque>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -21,6 +21,7 @@
 #include "noc/message.hh"
 #include "sim/event_queue.hh"
 #include "sim/inline_function.hh"
+#include "sim/ring.hh"
 #include "stats/stats.hh"
 
 namespace corona::obs {
@@ -107,20 +108,21 @@ class MemoryController
     };
 
     void tryStart();
-    void finish(std::size_t slot, sim::Tick data_ready);
+    void finish(std::uint32_t slot, sim::Tick data_ready);
 
     sim::EventQueue &_eq;
     topology::ClusterId _cluster;
     MemoryParams _params;
     DramModule _dram;
 
-    std::deque<Pending> _queue;
-    /** Requests past the link, awaiting their completion event. Slot
-     * indices keep the scheduled callback captures small (and inline);
-     * completions may be out of order under mat conflicts, so freed
-     * slots recycle through a free list. */
+    /** Every accepted request, from access() to finish(). Slot
+     * indices keep the queue and the scheduled callback captures small
+     * (and inline); completions may be out of order under mat
+     * conflicts, so freed slots recycle through a free list. */
     std::vector<Pending> _inflight;
-    std::vector<std::size_t> _freeSlots;
+    std::vector<std::uint32_t> _freeSlots;
+    /** Slots of the requests waiting for the link, FIFO. */
+    sim::Ring<std::uint32_t> _queue;
     bool _busy = false;
     double _bytesPerTick;
 

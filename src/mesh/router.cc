@@ -93,9 +93,7 @@ Router::popInput(std::optional<Direction> from)
 {
     if (from)
         return _inputs[static_cast<std::size_t>(*from)]->pop(_eq.now());
-    noc::Message msg = _injection.front();
-    _injection.pop_front();
-    return msg;
+    return _injection.pop_front();
 }
 
 bool

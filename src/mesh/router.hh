@@ -15,7 +15,6 @@
 #define CORONA_MESH_ROUTER_HH
 
 #include <array>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -25,6 +24,7 @@
 #include "noc/link.hh"
 #include "noc/message.hh"
 #include "sim/event_queue.hh"
+#include "sim/ring.hh"
 
 namespace corona::mesh {
 
@@ -121,7 +121,7 @@ class Router
     /** Neighbour input buffers indexed by arrival direction (E,W,N,S). */
     std::array<std::unique_ptr<noc::CreditBuffer>, 4> _inputs;
     /** Local injection queue (bounded end-to-end by MSHRs). */
-    std::deque<noc::Message> _injection;
+    sim::Ring<noc::Message> _injection;
     /** Outgoing links indexed by direction (E,W,N,S). */
     std::array<std::unique_ptr<noc::BandwidthLink>, 4> _links;
     Eject _eject;

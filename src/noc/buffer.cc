@@ -41,19 +41,7 @@ CreditBuffer::push(const Message &msg, sim::Tick now, bool reserved)
     } else if (!hasCredit()) {
         sim::panic("CreditBuffer::push without credit");
     }
-    if (_count == _ring.size()) {
-        // Full ring: unwrap it so the oldest message is slot 0, then
-        // append the new slots after the newest.
-        std::rotate(_ring.begin(), _ring.begin() + _head, _ring.end());
-        _head = 0;
-        _ring.resize(std::min(_capacity, std::max<std::size_t>(
-                                             4, 2 * _ring.size())));
-    }
-    std::size_t tail = _head + _count;
-    if (tail >= _ring.size())
-        tail -= _ring.size();
-    _ring[tail] = msg;
-    ++_count;
+    _ring.push_back(msg);
     _peak = std::max(_peak, size());
     _occupancy.update(now, static_cast<double>(size()));
 }
@@ -61,20 +49,17 @@ CreditBuffer::push(const Message &msg, sim::Tick now, bool reserved)
 const Message &
 CreditBuffer::front() const
 {
-    if (_count == 0)
+    if (_ring.empty())
         sim::panic("CreditBuffer::front on empty buffer");
-    return _ring[_head];
+    return _ring.front();
 }
 
 Message
 CreditBuffer::pop(sim::Tick now)
 {
-    if (_count == 0)
+    if (_ring.empty())
         sim::panic("CreditBuffer::pop on empty buffer");
-    const Message msg = _ring[_head];
-    if (++_head == _ring.size())
-        _head = 0;
-    --_count;
+    const Message msg = _ring.pop_front();
     _occupancy.update(now, static_cast<double>(size()));
     if (_onDrain)
         _onDrain();

@@ -13,9 +13,9 @@
 
 #include <cstddef>
 #include <functional>
-#include <vector>
 
 #include "noc/message.hh"
+#include "sim/ring.hh"
 #include "stats/stats.hh"
 
 namespace corona::noc {
@@ -34,8 +34,8 @@ class CreditBuffer
     explicit CreditBuffer(std::size_t capacity);
 
     std::size_t capacity() const { return _capacity; }
-    std::size_t size() const { return _count + _reserved; }
-    bool empty() const { return _count == 0; }
+    std::size_t size() const { return _ring.size() + _reserved; }
+    bool empty() const { return _ring.empty(); }
 
     /** Credits available to senders. */
     std::size_t credits() const { return _capacity - size(); }
@@ -71,8 +71,7 @@ class CreditBuffer
     void
     reset()
     {
-        _head = 0;
-        _count = 0;
+        _ring.clear();
         _reserved = 0;
         _occupancy.reset();
         _peak = 0;
@@ -87,12 +86,9 @@ class CreditBuffer
   private:
     std::size_t _capacity;
     std::size_t _reserved = 0;
-    /** FIFO ring: _count messages from slot _head, wrapping. It grows
-     * (doubling, capped at the capacity) only when full, and never
-     * shrinks, so a steady message stream allocates nothing. */
-    std::vector<Message> _ring;
-    std::size_t _head = 0;
-    std::size_t _count = 0;
+    /** Buffered messages. Credits cap them at _capacity, so the ring
+     * never grows past bit_ceil(_capacity) slots. */
+    sim::Ring<Message> _ring;
     std::function<void()> _onDrain;
     stats::TimeWeighted _occupancy;
     std::size_t _peak = 0;

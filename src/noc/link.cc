@@ -67,8 +67,7 @@ BandwidthLink::tryStart()
         _waitingDownstream = true;
         return;
     }
-    Pending pending = _queue.front();
-    _queue.pop_front();
+    const Pending pending = _queue.pop_front();
     _queueWait.sample(static_cast<double>(_eq.now() - pending.enqueued));
     _busy = true;
     const sim::Tick ser = serializationTime(pending.msg.bytes());

@@ -12,12 +12,12 @@
 #ifndef CORONA_NOC_LINK_HH
 #define CORONA_NOC_LINK_HH
 
-#include <deque>
 #include <functional>
 
 #include "noc/buffer.hh"
 #include "noc/message.hh"
 #include "sim/event_queue.hh"
+#include "sim/ring.hh"
 #include "stats/stats.hh"
 
 namespace corona::noc {
@@ -109,7 +109,7 @@ class BandwidthLink
         Message msg;
         sim::Tick enqueued;
     };
-    std::deque<Pending> _queue;
+    sim::Ring<Pending> _queue;
     bool _busy = false;
     bool _waitingDownstream = false;
     CreditBuffer *_downstream = nullptr;

@@ -30,7 +30,7 @@ BroadcastBus::broadcast(const noc::Message &msg)
 {
     noc::Message stamped = msg;
     stamped.injected = _eq.now();
-    _queue.push_back(Pending{stamped});
+    _queue.push_back(stamped);
     if (!_arbitrating) {
         _arbitrating = true;
         _arbiter.request(msg.src, [this] { transmit(); });
@@ -42,37 +42,47 @@ BroadcastBus::transmit()
 {
     if (_queue.empty())
         sim::panic("BroadcastBus::transmit: queue empty");
-    const Pending pending = _queue.front();
-    _queue.pop_front();
-    const noc::Message msg = pending.msg;
+    if (_freeSent.empty()) {
+        _freeSent.push_back(static_cast<std::uint32_t>(_sent.size()));
+        _sent.emplace_back();
+    }
+    const std::uint32_t slot = _freeSent.back();
+    _freeSent.pop_back();
+    _sent[slot] = Sent{_queue.pop_front(), _clusters};
 
-    const sim::Tick ser = serializationTime(msg.bytes());
-    const sim::Tick hop = _arbiter.hopTime();
-
-    _eq.scheduleIn(ser, [this, msg, hop] {
-        _arbiter.release(msg.src);
+    _eq.scheduleIn(serializationTime(_sent[slot].msg.bytes()), [this, slot] {
+        const topology::ClusterId src = _sent[slot].msg.src;
+        _arbiter.release(src);
         ++_broadcasts;
 
-        // The sender modulated at coil position msg.src on the first
-        // pass; a receiver at position k reads on the second pass after
-        // the remaining first-pass distance plus k hops into pass two.
+        // The sender modulated at coil position src on the first pass;
+        // a receiver at position k reads on the second pass after the
+        // remaining first-pass distance plus k hops into pass two.
+        const sim::Tick hop = _arbiter.hopTime();
         for (topology::ClusterId k = 0; k < _clusters; ++k) {
-            const sim::Tick remaining_first =
-                (_clusters - msg.src) * hop;
+            const sim::Tick remaining_first = (_clusters - src) * hop;
             const sim::Tick delay = remaining_first + k * hop;
-            _eq.scheduleIn(delay, [this, msg, k] {
-                if (_deliver)
-                    _deliver(msg, k);
-            });
+            _eq.scheduleIn(delay, [this, slot, k] { deliver(slot, k); });
         }
 
         _arbitrating = false;
         if (!_queue.empty()) {
             _arbitrating = true;
-            _arbiter.request(_queue.front().msg.src,
-                             [this] { transmit(); });
+            _arbiter.request(_queue.front().src, [this] { transmit(); });
         }
     });
+}
+
+void
+BroadcastBus::deliver(std::uint32_t slot, topology::ClusterId k)
+{
+    // Copy out and free the slot first: the delivery callback may
+    // start a broadcast that reuses (or reallocates) the slot array.
+    const noc::Message msg = _sent[slot].msg;
+    if (--_sent[slot].pending == 0)
+        _freeSent.push_back(slot);
+    if (_deliver)
+        _deliver(msg, k);
 }
 
 } // namespace corona::xbar

@@ -14,13 +14,14 @@
 #ifndef CORONA_XBAR_BROADCAST_BUS_HH
 #define CORONA_XBAR_BROADCAST_BUS_HH
 
-#include <deque>
+#include <cstdint>
 #include <functional>
 #include <vector>
 
 #include "noc/message.hh"
 #include "sim/clock.hh"
 #include "sim/event_queue.hh"
+#include "sim/ring.hh"
 #include "xbar/token_arbiter.hh"
 
 namespace corona::xbar {
@@ -80,6 +81,8 @@ class BroadcastBus
     reset()
     {
         _queue.clear();
+        _sent.clear();
+        _freeSent.clear();
         _arbitrating = false;
         _broadcasts = 0;
         _arbiter.reset();
@@ -88,9 +91,15 @@ class BroadcastBus
   private:
     void transmit();
 
-    struct Pending
+    /** Deliver the message parked in @p slot to cluster @p k. */
+    void deliver(std::uint32_t slot, topology::ClusterId k);
+
+    /** A transmitted message, parked until every cluster has it. */
+    struct Sent
     {
         noc::Message msg;
+        /** Deliveries still scheduled. */
+        std::size_t pending;
     };
 
     sim::EventQueue &_eq;
@@ -99,7 +108,13 @@ class BroadcastBus
     BroadcastParams _params;
     TokenArbiter _arbiter;
     Deliver _deliver;
-    std::deque<Pending> _queue;
+    /** Messages waiting for the token, FIFO. */
+    sim::Ring<noc::Message> _queue;
+    /** Transmitted messages; events capture a slot index, not the
+     * message, so they stay inline. Freed slots recycle through
+     * _freeSent. */
+    std::vector<Sent> _sent;
+    std::vector<std::uint32_t> _freeSent;
     bool _arbitrating = false;
     std::uint64_t _broadcasts = 0;
 };

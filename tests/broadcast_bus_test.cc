@@ -102,6 +102,60 @@ TEST(BroadcastBus, LatencyBoundedByTwoCoilPasses)
     EXPECT_LE(last, 4 * 8 * 200u);
 }
 
+TEST(BroadcastBus, DeliveryMayStartTheNextBroadcast)
+{
+    // Clusters 0 and 1 broadcast back to back, so the second message
+    // reaches its first clusters while the first is still being
+    // delivered. When message n reaches cluster 0, cluster n + 2 sends
+    // message n + 2 (up to 4) from inside the delivery callback. Every
+    // delivery must carry its own message, and a reset bus must replay
+    // the same (tick, tag, src, cluster) list.
+    EventQueue eq;
+    BroadcastBus bus(eq, sim::coronaClock(), 64);
+    struct Delivery
+    {
+        Tick tick;
+        std::uint64_t tag;
+        topology::ClusterId src, cluster;
+        bool operator==(const Delivery &) const = default;
+    };
+    std::vector<Delivery> log;
+    bus.setDeliver([&](const Message &msg, topology::ClusterId cluster) {
+        log.push_back({eq.now(), msg.tag, msg.src, cluster});
+        if (msg.tag < 3 && cluster == 0)
+            bus.broadcast(invalidate(msg.tag + 2, msg.tag + 2));
+    });
+    bus.broadcast(invalidate(0, 0));
+    bus.broadcast(invalidate(1, 1));
+    eq.run();
+    ASSERT_EQ(log.size(), 5u * 64u);
+    std::vector<std::vector<topology::ClusterId>> reached(5);
+    bool overlapped = false;
+    for (std::size_t i = 0; i < log.size(); ++i) {
+        ASSERT_LT(log[i].tag, 5u);
+        EXPECT_EQ(log[i].src, log[i].tag);
+        reached[log[i].tag].push_back(log[i].cluster);
+        if (i > 0 && log[i].tag < log[i - 1].tag)
+            overlapped = true;
+    }
+    for (const auto &clusters : reached) {
+        ASSERT_EQ(clusters.size(), 64u);
+        for (std::size_t k = 0; k < 64; ++k)
+            EXPECT_EQ(clusters[k], k); // Coil order per message.
+    }
+    EXPECT_TRUE(overlapped);
+
+    const auto first = log;
+    log.clear();
+    eq.reset();
+    bus.reset();
+    bus.broadcast(invalidate(0, 0));
+    bus.broadcast(invalidate(1, 1));
+    eq.run();
+    EXPECT_EQ(log, first);
+    EXPECT_EQ(bus.broadcastsSent(), 5u);
+}
+
 TEST(BroadcastBus, RejectsTinyRing)
 {
     EventQueue eq;

@@ -2,8 +2,8 @@
  * @file
  * Unit tests for the simulation kernel: event queue ordering and
  * determinism (including the bucket-ring/overflow-heap boundaries),
- * the inline callable type, clock-domain arithmetic, RNG
- * distributions.
+ * the inline callable type, the FIFO ring, clock-domain arithmetic,
+ * RNG distributions.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +18,7 @@
 #include "sim/event_queue.hh"
 #include "sim/inline_function.hh"
 #include "sim/logging.hh"
+#include "sim/ring.hh"
 #include "sim/rng.hh"
 #include "sim/types.hh"
 
@@ -510,6 +511,71 @@ TEST(InlineFunction, DestroysTheCaptureExactlyOnce)
         EXPECT_EQ(alive, 1);
     }
     EXPECT_EQ(alive, 0);
+}
+
+// ---------------------------------------------------------------------
+// Ring: the growable FIFO behind the hot-path queues.
+
+TEST(Ring, WrapsAroundInFifoOrder)
+{
+    sim::Ring<int> ring;
+    EXPECT_TRUE(ring.empty());
+    EXPECT_EQ(ring.capacity(), 0u); // No storage until the first push.
+    int next_in = 0, next_out = 0;
+    // Depth never passes 3, so 4 slots suffice while head and tail
+    // lap the storage many times.
+    for (int round = 0; round < 50; ++round) {
+        for (int i = 0; i < 3; ++i)
+            ring.push_back(next_in++);
+        EXPECT_EQ(ring.size(), 3u);
+        EXPECT_EQ(ring.front(), next_out);
+        for (int i = 0; i < 3; ++i)
+            EXPECT_EQ(ring.pop_front(), next_out++);
+    }
+    EXPECT_TRUE(ring.empty());
+    EXPECT_EQ(ring.capacity(), 4u);
+}
+
+TEST(Ring, GrowsWhileWrappedAndKeepsOrder)
+{
+    sim::Ring<int> ring;
+    for (int i = 0; i < 4; ++i)
+        ring.push_back(i);
+    EXPECT_EQ(ring.pop_front(), 0);
+    EXPECT_EQ(ring.pop_front(), 1);
+    ring.push_back(4); // Wraps to slots 0 and 1.
+    ring.push_back(5);
+    ASSERT_EQ(ring.capacity(), 4u);
+    ring.push_back(6); // Full and wrapped: grows.
+    EXPECT_EQ(ring.capacity(), 8u);
+    for (int i = 7; i < 12; ++i)
+        ring.push_back(i);
+    EXPECT_EQ(ring.capacity(), 16u);
+    EXPECT_EQ(ring.size(), 10u);
+    for (int i = 2; i < 12; ++i)
+        EXPECT_EQ(ring.pop_front(), i);
+    EXPECT_TRUE(ring.empty());
+}
+
+TEST(Ring, ClearKeepsCapacityAndReleasesValues)
+{
+    auto token = std::make_shared<int>(0);
+    sim::Ring<sim::InlineFunction<int()>> ring;
+    for (int i = 0; i < 20; ++i)
+        ring.push_back([token, i] { return i; });
+    const std::size_t capacity = ring.capacity();
+    EXPECT_EQ(capacity, 32u);
+    EXPECT_EQ(ring.pop_front()(), 0);
+    EXPECT_EQ(token.use_count(), 20); // 19 queued captures + ours.
+    ring.clear();
+    EXPECT_TRUE(ring.empty());
+    EXPECT_EQ(ring.capacity(), capacity);
+    EXPECT_EQ(token.use_count(), 1); // Queued captures destroyed.
+    for (int i = 0; i < 32; ++i)
+        ring.push_back([i] { return i; });
+    EXPECT_EQ(ring.capacity(), capacity); // Refilled without growing.
+    for (int i = 0; i < 32; ++i)
+        EXPECT_EQ(ring.pop_front()(), i);
 }
 
 TEST(ClockDomain, CoronaClockIs200ps)
