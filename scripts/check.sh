@@ -17,4 +17,3 @@ scripts/trace_smoke.sh build
 scripts/scenario_smoke.sh build
 scripts/obs_smoke.sh build
 scripts/coherence_smoke.sh build
-scripts/parallel_smoke.sh build

@@ -15,6 +15,8 @@
 #      worker processes (corona-launch --worker, each loading the
 #      spec file) and --verify asserts merged sink bytes equal an
 #      un-sharded in-process run.
+#   5. An option corona-run does not have (--sim-threads) is refused
+#      with exit 2 and "unknown argument", not ignored.
 #
 # Usage: scripts/scenario_smoke.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -79,5 +81,15 @@ cmp -s "${DIR}/a.csv" "${DIR}/launch.csv" || {
   exit 1
 }
 
+# ---- 5. Unknown options are refused before anything runs.
+status=0
+"${BUILD}/corona-run" --sim-threads 4 "${SCENARIO}" \
+  > /dev/null 2> "${DIR}/unknown.err" || status=$?
+[[ ${status} -eq 2 ]] && grep -q "unknown argument" "${DIR}/unknown.err" || {
+  echo "scenario smoke: --sim-threads was not refused (exit ${status})" >&2
+  exit 1
+}
+
 echo "scenario smoke: OK (print fixed point, deterministic bytes," \
-     "shard/merge parity, scenario-worker launch verified)"
+     "shard/merge parity, scenario-worker launch, unknown option" \
+     "refused)"

@@ -14,7 +14,6 @@
 #include <utility>
 
 #include "corona/env.hh"
-#include "corona/exec_plan.hh"
 #include "corona/simulation.hh"
 #include "sim/logging.hh"
 
@@ -67,14 +66,7 @@ executePlanWith(const RunPlan &plan, core::SystemPool *pool,
                            plan.workload + "\" returned null");
             workload = owned.get();
         }
-        // The pooled lease must match what the run will effectively
-        // use: serial and sharded contexts are distinct pool entries.
-        const unsigned sim_threads = core::effectiveSimThreads(
-            plan.params.sim_threads, plan.system, *workload,
-            plan.params.warmup_requests,
-            obs && obs->enabled() && obs->trace_capacity > 0);
-        core::SimContext *ctx =
-            pool ? &pool->lease(plan.system, sim_threads) : nullptr;
+        core::SimContext *ctx = pool ? &pool->lease(plan.system) : nullptr;
         if (lease_seconds)
             *lease_seconds = secondsSince(lease_start);
         if (obs && obs->enabled()) {

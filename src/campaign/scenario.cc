@@ -197,7 +197,6 @@ ScenarioSpec::resolve() const
     spec.base.requests = requests;
     spec.base.warmup_requests = warmup_requests;
     spec.base.seed = seed;
-    spec.base.sim_threads = execution.sim_threads;
     spec.campaign_seed = campaign_seed;
     spec.seed_policy = seed_policy;
     spec.seeds = seeds;
@@ -385,17 +384,13 @@ parseScenario(std::string_view text)
 
     if (const ScenarioSection *execution = doc.find("execution")) {
         checkUniqueKeys(*execution,
-                        {"threads", "sim_threads", "shard",
-                         "checkpoint", "executor", "calibration",
-                         "csv", "jsonl", "summary", "progress",
-                         "reuse_systems"});
+                        {"threads", "shard", "checkpoint", "executor",
+                         "calibration", "csv", "jsonl", "summary",
+                         "progress", "reuse_systems"});
         for (const ScenarioEntry &entry : execution->entries) {
             if (entry.key == "threads") {
                 spec.execution.threads =
                     static_cast<std::size_t>(entryUnsigned(entry));
-            } else if (entry.key == "sim_threads") {
-                spec.execution.sim_threads =
-                    static_cast<unsigned>(entryUnsigned(entry));
             } else if (entry.key == "shard") {
                 const auto shard = parseShardSpec(entry.value);
                 if (!shard)
@@ -550,9 +545,6 @@ serializeScenario(const ScenarioSpec &spec)
     const ScenarioExecution &exec = spec.execution;
     if (exec.threads != 0)
         add(execution, "threads", std::to_string(exec.threads));
-    if (exec.sim_threads != 0)
-        add(execution, "sim_threads",
-            std::to_string(exec.sim_threads));
     if (!exec.shard.isWhole())
         add(execution, "shard", exec.shard.label());
     if (!exec.checkpoint.empty())

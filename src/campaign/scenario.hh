@@ -34,7 +34,6 @@
  *
  *     [execution]                  # optional runtime settings
  *     threads = 0
- *     sim_threads = 4              # conservative shards per simulation
  *     shard = 1/4
  *     checkpoint = fig9.ckpt
  *     executor = simulate          # simulate | model
@@ -94,11 +93,6 @@ struct ScenarioExecution
 {
     /** Worker threads; 0 = CORONA_JOBS or hardware concurrency. */
     std::size_t threads = 0;
-    /** Intra-run shard count for the conservative parallel executor
-     * (SimParams::sim_threads); 0 = the classic serial engine. Runs
-     * that cannot partition (coherent front end, non-partitionable
-     * workload, warm-up, tracing) fall back to serial per run. */
-    unsigned sim_threads = 0;
     /** Slice of the grid this process executes. */
     ShardSpec shard{};
     /** Crash-tolerant checkpoint path; empty = none. */

@@ -3,28 +3,17 @@
 #include <algorithm>
 #include <string>
 
-#include "corona/exec_plan.hh"
 #include "corona/knobs.hh"
 #include "sim/logging.hh"
 
 namespace corona::core {
 
-SimContext::SimContext(const SystemConfig &config, unsigned sim_threads)
+SimContext::SimContext(const SystemConfig &config, unsigned engine)
 {
-    if (sim_threads > 0) {
-        const unsigned shards = static_cast<unsigned>(
-            std::min<std::size_t>(sim_threads, config.clusters));
-        const sim::Tick lookahead = lookaheadTicks(config);
-        if (lookahead == 0)
-            sim::fatal("SimContext: configuration has no lookahead; "
-                       "effectiveSimThreads() plans such runs serial");
-        _exec = std::make_unique<sim::ShardedExecutor>(
-            entityShardMap(config, shards), shards, lookahead);
-        _simThreads = shards;
-        _system = std::make_unique<CoronaSystem>(*_exec, config);
-    } else {
-        _system = std::make_unique<CoronaSystem>(_eq, config);
-    }
+    if (engine != 0)
+        sim::fatal("SimContext: engine " + std::to_string(engine) +
+                   " does not exist; 0 is the only engine");
+    _system = std::make_unique<CoronaSystem>(_eq, config);
 }
 
 namespace {
@@ -56,15 +45,12 @@ configKey(const SystemConfig &config)
 } // namespace
 
 SimContext &
-SystemPool::lease(const SystemConfig &config, unsigned sim_threads)
+SystemPool::lease(const SystemConfig &config, unsigned engine)
 {
-    std::string key = configKey(config);
-    if (sim_threads > 0) {
-        // Engine choice is context identity: a sharded system's
-        // components live on different queues than a serial one's.
-        key += "|simthreads:";
-        key += std::to_string(sim_threads);
-    }
+    if (engine != 0)
+        sim::fatal("SystemPool: engine " + std::to_string(engine) +
+                   " does not exist; 0 is the only engine");
+    const std::string key = configKey(config);
     for (Slot &slot : _slots) {
         if (slot.key == key) {
             slot.last_used = ++_clock;
@@ -86,7 +72,7 @@ SystemPool::lease(const SystemConfig &config, unsigned sim_threads)
         _slots.erase(victim);
     }
     _slots.push_back(
-        Slot{key, std::make_unique<SimContext>(config, sim_threads),
+        Slot{key, std::make_unique<SimContext>(config),
              ++_clock});
     return *_slots.back().context;
 }

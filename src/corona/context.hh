@@ -30,38 +30,22 @@
 #include "obs/registry.hh"
 #include "obs/scratch.hh"
 #include "sim/event_queue.hh"
-#include "sim/parallel.hh"
 
 namespace corona::core {
 
 /**
  * An EventQueue plus the CoronaSystem wired to it.
- *
- * With @p sim_threads > 0 the context instead owns a ShardedExecutor
- * (K lockstep event queues; see sim/parallel.hh) and builds the
- * system across its entity queues. Callers must pass a value vetted
- * by effectiveSimThreads() — the context clamps to the cluster count
- * but does not re-check workload or front-end partitionability. The
- * engine choice is part of the context's identity (SystemPool keys
- * on it): a context never switches engines across leases.
  */
 class SimContext
 {
   public:
-    explicit SimContext(const SystemConfig &config,
-                        unsigned sim_threads = 0);
+    /** @p engine: kept only for perfbench/ (remove when it next changes). */
+    explicit SimContext(const SystemConfig &config, unsigned engine = 0);
 
     SimContext(const SimContext &) = delete;
     SimContext &operator=(const SimContext &) = delete;
 
-    /** The classic single queue (unused when sharded). */
     sim::EventQueue &eq() { return _eq; }
-
-    /** The sharded executor, or null on the classic engine. */
-    sim::ShardedExecutor *executor() { return _exec.get(); }
-
-    /** Effective shard count (0 = classic single-queue engine). */
-    unsigned simThreads() const { return _simThreads; }
 
     CoronaSystem &system() { return *_system; }
     const SystemConfig &config() const { return _system->config(); }
@@ -71,8 +55,6 @@ class SimContext
     bool
     pristine() const
     {
-        if (_exec)
-            return _exec->pristine();
         return _eq.now() == 0 && _eq.empty() && _eq.executed() == 0;
     }
 
@@ -92,22 +74,17 @@ class SimContext
      */
     obs::ObsScratch &obsScratch() { return _obsScratch; }
 
-    /** Restore the pristine state of the queue(s) and every
-     * component. */
+    /** Restore the pristine state of the queue and every component. */
     void
     reset()
     {
         _eq.reset();
-        if (_exec)
-            _exec->reset();
         _system->reset();
     }
 
   private:
     sim::EventQueue _eq;
-    std::unique_ptr<sim::ShardedExecutor> _exec;
     std::unique_ptr<CoronaSystem> _system;
-    unsigned _simThreads = 0;
     obs::Registry _obsRegistry;
     obs::ObsScratch _obsScratch;
 };
@@ -136,12 +113,9 @@ class SystemPool
      * evicts it (only a later lease of a different config can) or is
      * destroyed; lease again for the same configuration returns the
      * same context, so at most one run may use it at a time.
-     * @p sim_threads is the effective shard count and is part of the
-     * pool key: serial and sharded runs of one configuration lease
-     * distinct contexts.
+     * @p engine: kept only for perfbench/ (remove when it next changes).
      */
-    SimContext &lease(const SystemConfig &config,
-                      unsigned sim_threads = 0);
+    SimContext &lease(const SystemConfig &config, unsigned engine = 0);
 
     /** Configurations currently resident. */
     std::size_t size() const { return _slots.size(); }

@@ -157,7 +157,7 @@ CoherentFrontEnd::access(topology::ClusterId cluster, topology::Addr line,
     if (line >= maxLine)
         sim::fatal("CoherentFrontEnd: line address exceeds the tag's "
                    "60-bit sideband encoding");
-    const auto [it, inserted] = _homes.emplace(line, home);
+    const auto [it, inserted] = _homes.try_emplace(line, home);
     if (!inserted && it->second != home)
         sim::fatal("CoherentFrontEnd: workload re-homed a line (the "
                    "home must be a pure function of the address)");

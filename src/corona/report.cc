@@ -24,15 +24,6 @@ RunReport::mcLoadSkew() const
     return static_cast<double>(peak) / mean;
 }
 
-std::uint64_t
-RunReport::totalCoalesced() const
-{
-    std::uint64_t total = 0;
-    for (const auto &c : clusters)
-        total += c.mshr_coalesced;
-    return total;
-}
-
 void
 RunReport::print(std::ostream &os, std::size_t top_clusters) const
 {
@@ -93,7 +84,6 @@ collectReport(const RunMetrics &metrics, CoronaSystem &system)
         entry.mc_bytes = mc.bytesMoved();
         entry.mc_mean_service_ns = mc.serviceTime().mean() / 1000.0;
         entry.mc_peak_queue = mc.peakQueueDepth();
-        entry.mshr_coalesced = hub.mshrs().coalesced();
         entry.mshr_full_stalls = hub.mshrs().fullStalls();
         entry.network_requests = hub.networkRequests();
         entry.local_requests = hub.localRequests();

@@ -29,7 +29,6 @@ struct ClusterReport
     std::uint64_t mc_bytes;
     double mc_mean_service_ns;
     std::size_t mc_peak_queue;
-    std::uint64_t mshr_coalesced;
     std::uint64_t mshr_full_stalls;
     std::uint64_t network_requests;
     std::uint64_t local_requests;
@@ -43,9 +42,6 @@ struct RunReport
 
     /** Ratio of the busiest MC's accesses to the mean (load skew). */
     double mcLoadSkew() const;
-
-    /** Aggregate coalesced secondary misses. */
-    std::uint64_t totalCoalesced() const;
 
     /** Render a human-readable summary. */
     void print(std::ostream &os, std::size_t top_clusters = 4) const;

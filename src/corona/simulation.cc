@@ -7,12 +7,10 @@
 #include <string>
 
 #include "corona/env.hh"
-#include "corona/exec_plan.hh"
 #include "corona/frontend.hh"
 #include "obs/observe.hh"
 #include "power/network_power.hh"
 #include "sim/logging.hh"
-#include "sim/parallel.hh"
 
 namespace corona::core {
 
@@ -20,21 +18,13 @@ NetworkSimulation::NetworkSimulation(SimContext &ctx,
                                      workload::Workload &workload,
                                      const SimParams &params)
     : _ctx(ctx), _config(ctx.config()), _workload(workload),
-      _params(params), _eq(_ctx.eq()), _exec(_ctx.executor())
+      _params(params), _eq(_ctx.eq()), _rng(params.seed),
+      _budget(params.warmup_requests + params.requests)
 {
     if (!_ctx.pristine())
         sim::fatal("NetworkSimulation: leased context is not pristine "
                    "(reset it, or lease through SystemPool)");
-    if (_exec &&
-        (_params.warmup_requests > 0 ||
-         _config.frontend == FrontendKind::Coherent ||
-         !_workload.partitionable(_config.clusters,
-                                  _config.threads_per_cluster)))
-        sim::fatal("NetworkSimulation: run is not partitionable but "
-                   "the leased context is sharded; size the lease "
-                   "with effectiveSimThreads()");
     bindThreads();
-    initLanes();
 }
 
 void
@@ -58,46 +48,10 @@ NetworkSimulation::bindThreads()
 }
 
 void
-NetworkSimulation::initLanes()
-{
-    if (_exec) {
-        // One lane per cluster, each pinned to its cluster's queue
-        // with a private RNG stream and an even budget split
-        // (remainder to the low clusters). Warm-up is excluded by
-        // effectiveSimThreads(), so the split covers requests only.
-        const std::size_t n = _config.clusters;
-        _lanes.resize(n);
-        const std::uint64_t base = _params.requests / n;
-        const std::uint64_t rem = _params.requests % n;
-        for (std::size_t c = 0; c < n; ++c) {
-            Lane &lane = _lanes[c];
-            lane.rng = sim::Rng(_params.seed +
-                                0x9e3779b97f4a7c15ull * (c + 1));
-            lane.budget = base + (c < rem ? 1 : 0);
-            lane.q = &_exec->queueFor(c);
-        }
-    } else {
-        // The classic engine: one lane spanning every cluster,
-        // seeded exactly as the historical shared RNG — bytes cannot
-        // differ from the pre-lane driver.
-        _lanes.resize(1);
-        _lanes[0].rng = sim::Rng(_params.seed);
-        _lanes[0].budget = totalBudget();
-        _lanes[0].q = &_eq;
-    }
-}
-
-std::uint64_t
-NetworkSimulation::totalBudget() const
-{
-    return _params.warmup_requests + _params.requests;
-}
-
-void
 NetworkSimulation::beginMeasurement()
 {
     _measuring = true;
-    _measureStart = _exec ? _exec->now() : _eq.now();
+    _measureStart = _eq.now();
     _bytesAtMeasureStart = _ctx.system().memoryBytesMoved();
     _hopsAtMeasureStart =
         _ctx.system().network().netStats().hopTraversals.value();
@@ -106,17 +60,16 @@ NetworkSimulation::beginMeasurement()
 void
 NetworkSimulation::scheduleNext(std::size_t tid)
 {
-    Lane &lane = laneFor(tid);
-    if (lane.issued >= lane.budget)
+    if (_issued >= _budget)
         return; // Budget exhausted: the thread retires.
     // The coherent front end consumes pre-cache reference streams; the
     // miss-stream front end replays records as L2 misses directly.
     const workload::MissRequest req =
         _config.frontend == FrontendKind::Coherent
-            ? _workload.nextReference(tid, lane.q->now(), lane.rng)
-            : _workload.next(tid, lane.q->now(), lane.rng);
-    const sim::Tick ready = lane.q->now() + req.think_time;
-    lane.q->schedule(ready, [this, tid, req, ready] {
+            ? _workload.nextReference(tid, _eq.now(), _rng)
+            : _workload.next(tid, _eq.now(), _rng);
+    const sim::Tick ready = _eq.now() + req.think_time;
+    _eq.schedule(ready, [this, tid, req, ready] {
         if (_pending[tid])
             sim::panic("NetworkSimulation: overlapping pending issues");
         _pending[tid] = PendingIssue{req, ready};
@@ -128,10 +81,9 @@ void
 NetworkSimulation::tryIssue(std::size_t tid)
 {
     workload::ThreadContext &ctx = _threads[tid];
-    Lane &lane = laneFor(tid);
     if (!_pending[tid])
         return; // Fill raced ahead of a stalled retry; nothing to do.
-    if (lane.issued >= lane.budget) {
+    if (_issued >= _budget) {
         _pending[tid].reset(); // Budget filled while we were stalled.
         return;
     }
@@ -178,13 +130,11 @@ NetworkSimulation::tryIssue(std::size_t tid)
         return;
     }
     if (primary) {
-        ++lane.issued;
-        // Warm-up forces the classic single-lane engine, so the
-        // lane's count is the global issue count here.
-        if (!_measuring && lane.issued >= _params.warmup_requests)
+        ++_issued;
+        if (!_measuring && _issued >= _params.warmup_requests)
             beginMeasurement();
     } else {
-        ++lane.coalesced;
+        ++_coalesced;
     }
     ctx.issued();
     _pending[tid].reset();
@@ -195,17 +145,15 @@ void
 NetworkSimulation::onFill(std::size_t tid, sim::Tick ready_since)
 {
     workload::ThreadContext &ctx = _threads[tid];
-    Lane &lane = laneFor(tid);
     if (_measuring && ready_since >= _measureStart) {
-        const auto latency =
-            static_cast<double>(lane.q->now() - ready_since);
-        lane.latency.sample(latency);
-        lane.hist.sample(latency /
-                         static_cast<double>(sim::oneNanosecond));
+        const auto latency = static_cast<double>(_eq.now() - ready_since);
+        _latency.sample(latency);
+        _latencyHist.sample(latency /
+                            static_cast<double>(sim::oneNanosecond));
     }
     ctx.completed();
-    ++lane.completed;
-    lane.endTick = std::max(lane.endTick, lane.q->now());
+    ++_completed;
+    _endTick = std::max(_endTick, _eq.now());
     if (ctx.waitingForWindow()) {
         ctx.setWaitingForWindow(false);
         tryIssue(tid);
@@ -224,52 +172,30 @@ NetworkSimulation::run()
         beginMeasurement();
     for (std::size_t tid = 0; tid < _threads.size(); ++tid)
         scheduleNext(tid);
-    if (_exec)
-        _exec->run();
-    else
-        _eq.run();
+    _eq.run();
 
-    // Merge the lanes in cluster order: every aggregate below is then
-    // a pure function of the model, identical at any shard count.
-    std::uint64_t issued = 0;
-    std::uint64_t coalesced = 0;
-    std::uint64_t completed = 0;
-    sim::Tick end_tick = 0;
-    stats::RunningStats latency;
-    stats::Histogram latency_hist(/*bucket_width_ns=*/5.0,
-                                  /*num_buckets=*/400);
-    for (const Lane &lane : _lanes) {
-        issued += lane.issued;
-        coalesced += lane.coalesced;
-        completed += lane.completed;
-        end_tick = std::max(end_tick, lane.endTick);
-        latency.merge(lane.latency);
-        latency_hist.merge(lane.hist);
-    }
-
-    const std::uint64_t outstanding = issued + coalesced - completed;
-    if (outstanding != 0)
+    if (_issued + _coalesced != _completed)
         sim::panic("NetworkSimulation: simulation drained with "
                    "outstanding misses");
 
     RunMetrics m;
     m.config = _config.name();
     m.workload = _workload.name();
-    m.requests_issued = issued - _params.warmup_requests;
-    m.requests_coalesced = coalesced;
-    m.elapsed = end_tick > _measureStart ? end_tick - _measureStart : 1;
+    m.requests_issued = _issued - _params.warmup_requests;
+    m.requests_coalesced = _coalesced;
+    m.elapsed = _endTick > _measureStart ? _endTick - _measureStart : 1;
     const double seconds = sim::ticksToSeconds(m.elapsed);
     m.achieved_bytes_per_second =
         static_cast<double>(_ctx.system().memoryBytesMoved() -
                             _bytesAtMeasureStart) /
         seconds;
     m.avg_latency_ns =
-        latency.mean() / static_cast<double>(sim::oneNanosecond);
-    m.p95_latency_ns = latency_hist.percentile(0.95);
+        _latency.mean() / static_cast<double>(sim::oneNanosecond);
+    m.p95_latency_ns = _latencyHist.percentile(0.95);
     m.offered_bytes_per_second = _workload.offeredBytesPerSecond();
     // The context was pristine at construction, so the queues'
     // lifetime counters are exactly this run's event count.
-    m.events_executed = _exec ? _exec->executed() : _eq.executed();
+    m.events_executed = _eq.executed();
     m.host_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       host_start)
@@ -323,15 +249,7 @@ RunMetrics
 runExperiment(const SystemConfig &config, workload::Workload &workload,
               const SimParams &params, const obs::RunObservability &obs)
 {
-    // A fresh context is pristine. Tracing pins the run to the classic
-    // engine: the shared trace ring's eviction order is not
-    // shard-count-invariant.
-    SimContext ctx(config,
-                   effectiveSimThreads(params.sim_threads, config,
-                                       workload,
-                                       params.warmup_requests,
-                                       obs.enabled() &&
-                                           obs.trace_capacity > 0));
+    SimContext ctx(config); // A fresh context is pristine.
     return runExperiment(ctx, workload, params, obs);
 }
 

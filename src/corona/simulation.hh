@@ -40,13 +40,8 @@ struct SimParams
      * warm-up budget has issued (standard sampling methodology; the
      * paper's trace runs are similarly past their cold start). */
     std::uint64_t warmup_requests = 0;
-    /** Requested shard count for the conservative parallel executor
-     * (sim/parallel.hh). 0 = the classic single-queue engine. The
-     * effective count may fall back to 0 — see effectiveSimThreads()
-     * in exec_plan.hh for the conditions. Not part of checkpoint
-     * fingerprints: the engine choice never changes results at a
-     * given effective mode, only wall-clock time. */
-    unsigned sim_threads = 0;
+    /** Kept only for perfbench/ (remove when the benchmark next changes). */
+    static constexpr unsigned sim_threads = 0;
 };
 
 /**
@@ -72,42 +67,11 @@ class NetworkSimulation
     CoronaSystem &system() { return _ctx.system(); }
 
   private:
-    /**
-     * One driver lane: the injection state that must be single-writer
-     * under the sharded executor. The classic engine runs one lane
-     * spanning every cluster (bit-identical to the historical shared
-     * state); the executor runs one lane per cluster, each on its
-     * cluster's queue with its own RNG stream and an even split of
-     * the request budget. Lane statistics merge in cluster order at
-     * the end of the run, so aggregates are shard-count-invariant.
-     */
-    struct Lane
-    {
-        sim::Rng rng{1};
-        sim::EventQueue *q = nullptr;
-        std::uint64_t budget = 0;
-        std::uint64_t issued = 0;
-        std::uint64_t coalesced = 0;
-        std::uint64_t completed = 0;
-        sim::Tick endTick = 0;
-        stats::RunningStats latency;
-        stats::Histogram hist{/*bucket_width_ns=*/5.0,
-                              /*num_buckets=*/400};
-    };
-
     void bindThreads();
-    void initLanes();
-    std::uint64_t totalBudget() const;
     void beginMeasurement();
     void scheduleNext(std::size_t tid);
     void tryIssue(std::size_t tid);
     void onFill(std::size_t tid, sim::Tick ready_since);
-
-    Lane &
-    laneFor(std::size_t tid)
-    {
-        return _lanes[_exec ? tid / _config.threads_per_cluster : 0];
-    }
 
     SimContext &_ctx;
     SystemConfig _config;
@@ -115,8 +79,6 @@ class NetworkSimulation
     SimParams _params;
 
     sim::EventQueue &_eq;
-    /** The context's sharded executor (null on the classic engine). */
-    sim::ShardedExecutor *_exec = nullptr;
 
     struct PendingIssue
     {
@@ -126,7 +88,17 @@ class NetworkSimulation
 
     std::vector<workload::ThreadContext> _threads;
     std::vector<std::optional<PendingIssue>> _pending;
-    std::vector<Lane> _lanes;
+
+    sim::Rng _rng;
+    /** Primary misses to issue: warm-up plus measured requests. */
+    std::uint64_t _budget;
+    std::uint64_t _issued = 0;
+    std::uint64_t _coalesced = 0;
+    std::uint64_t _completed = 0;
+    sim::Tick _endTick = 0;
+    stats::RunningStats _latency;
+    stats::Histogram _latencyHist{/*bucket_width_ns=*/5.0,
+                                  /*num_buckets=*/400};
 
     /** Measurement epoch (set when the warm-up budget has issued). */
     bool _measuring = false;
@@ -153,8 +125,7 @@ RunMetrics runExperiment(SimContext &ctx, workload::Workload &workload,
 
 /**
  * Convenience harness: run @p workload on a fresh context for
- * @p config, on the engine effectiveSimThreads() grants (event tracing
- * pins the classic engine).
+ * @p config.
  */
 RunMetrics runExperiment(const SystemConfig &config,
                          workload::Workload &workload,

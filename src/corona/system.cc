@@ -3,125 +3,38 @@
 #include <string>
 #include <utility>
 
-#include "corona/exec_plan.hh"
 #include "corona/frontend.hh"
 #include "obs/registry.hh"
 #include "obs/trace.hh"
 #include "sim/logging.hh"
-#include "sim/parallel.hh"
 
 namespace corona::core {
 
-namespace {
-
-/**
- * Executor-mode injection adapter. Hubs hold it where they would hold
- * the real network: send() stages the message from the source
- * cluster's entity to the owning entity of the network's receive path
- * (the destination cluster for the crossbar, whose channels are
- * per-destination; the fabric entity for mesh/ideal), at exactly the
- * configured lookahead. The inner network then runs entirely on that
- * entity's queue.
- */
-class FabricNet final : public noc::Interconnect
-{
-  public:
-    FabricNet(sim::ShardedExecutor &exec, noc::Interconnect &inner,
-              bool per_destination, std::size_t fabric_entity,
-              sim::Tick latency)
-        : _exec(exec), _inner(inner), _perDestination(per_destination),
-          _fabricEntity(fabric_entity), _latency(latency)
-    {
-    }
-
-    void
-    send(const noc::Message &msg) override
-    {
-        const std::size_t dst =
-            _perDestination ? msg.dst : _fabricEntity;
-        noc::Interconnect *inner = &_inner;
-        _exec.post(msg.src, dst,
-                   _exec.queueFor(msg.src).now() + _latency,
-                   [inner, msg] { inner->send(msg); });
-    }
-
-    std::string name() const override { return _inner.name(); }
-
-    std::size_t
-    hopCount(topology::ClusterId src,
-             topology::ClusterId dst) const override
-    {
-        return _inner.hopCount(src, dst);
-    }
-
-  private:
-    sim::ShardedExecutor &_exec;
-    noc::Interconnect &_inner;
-    bool _perDestination;
-    std::size_t _fabricEntity;
-    sim::Tick _latency;
-};
-
-} // namespace
-
 CoronaSystem::CoronaSystem(sim::EventQueue &eq, const SystemConfig &config)
-    : CoronaSystem(&eq, nullptr, config)
-{
-}
-
-CoronaSystem::CoronaSystem(sim::ShardedExecutor &exec,
-                           const SystemConfig &config)
-    : CoronaSystem(nullptr, &exec, config)
-{
-}
-
-CoronaSystem::CoronaSystem(sim::EventQueue *eq,
-                           sim::ShardedExecutor *exec,
-                           const SystemConfig &config)
     : _config(config), _geom(config.clusters)
 {
     const sim::ClockDomain &clock = sim::coronaClock();
-    const sim::Tick lookahead = exec ? exec->lookahead() : 0;
-    const std::size_t fabric = fabricEntity(config);
 
     switch (config.network) {
       case NetworkKind::XBar: {
-        auto net = exec
-            ? std::make_unique<xbar::OpticalCrossbar>(
-                  [exec](topology::ClusterId home) -> sim::EventQueue & {
-                      return exec->queueFor(home);
-                  },
-                  clock, config.clusters, config.xbar_channel)
-            : std::make_unique<xbar::OpticalCrossbar>(
-                  *eq, clock, config.clusters, config.xbar_channel);
+        auto net = std::make_unique<xbar::OpticalCrossbar>(
+            eq, clock, config.clusters, config.xbar_channel);
         _xbar = net.get();
         _network = std::move(net);
-        // Channel h's delivery statistics update on cluster h's
-        // shard; per-destination lanes keep them single-writer and
-        // the merge deterministic.
-        if (exec)
-            _network->shardStatsByDestination(config.clusters);
         break;
       }
       case NetworkKind::HMesh:
       case NetworkKind::LMesh: {
         auto net = std::make_unique<mesh::ElectricalMesh>(
-            exec ? exec->queueFor(fabric) : *eq, clock, _geom,
-            config.mesh, to_string(config.network));
+            eq, clock, _geom, config.mesh, to_string(config.network));
         _mesh = net.get();
         _network = std::move(net);
         break;
       }
       case NetworkKind::Ideal:
         _network = std::make_unique<noc::IdealInterconnect>(
-            exec ? exec->queueFor(fabric) : *eq, 8 * clock.period());
+            eq, 8 * clock.period());
         break;
-    }
-
-    if (exec) {
-        _fabricNet = std::make_unique<FabricNet>(
-            *exec, *_network, config.network == NetworkKind::XBar,
-            fabric, lookahead);
     }
 
     memory::MemoryParams mem_params =
@@ -136,41 +49,18 @@ CoronaSystem::CoronaSystem(sim::EventQueue *eq,
     _mcs.reserve(config.clusters);
     _hubs.reserve(config.clusters);
     for (topology::ClusterId c = 0; c < config.clusters; ++c) {
-        sim::EventQueue &cq = exec ? exec->queueFor(c) : *eq;
         _mcs.push_back(std::make_unique<memory::MemoryController>(
-            cq, c, mem_params));
+            eq, c, mem_params));
         _hubs.push_back(std::make_unique<Hub>(
-            cq, c, exec ? *_fabricNet : *_network, *_mcs.back(),
-            config.mshrs_per_cluster, config.local_hop));
+            eq, c, *_network, *_mcs.back(), config.mshrs_per_cluster,
+            config.local_hop));
     }
 
-    if (config.frontend == FrontendKind::Coherent) {
-        if (exec)
-            sim::fatal("CoronaSystem: the coherent front end cannot "
-                       "run sharded (directory state spans clusters); "
-                       "effectiveSimThreads() plans such runs serial");
-        _frontEnd =
-            std::make_unique<CoherentFrontEnd>(*eq, *this, config);
-    }
+    if (config.frontend == FrontendKind::Coherent)
+        _frontEnd = std::make_unique<CoherentFrontEnd>(eq, *this, config);
 
-    if (exec && config.network != NetworkKind::XBar) {
-        // Mesh/ideal delivery fires on the fabric entity; stage the
-        // hand-off to the destination cluster's shard at the
-        // lookahead, mirroring the injection side.
-        sim::ShardedExecutor *ex = exec;
-        _network->setDeliver(
-            [this, ex, fabric, lookahead](const noc::Message &msg) {
-                CoronaSystem *self = this;
-                ex->post(fabric, msg.dst,
-                         ex->queueFor(fabric).now() + lookahead,
-                         [self, msg] { self->dispatch(msg); });
-            });
-    } else {
-        // Serial, and the sharded crossbar: channel h delivers on
-        // cluster h's own shard, so the hub call is already home.
-        _network->setDeliver(
-            [this](const noc::Message &msg) { dispatch(msg); });
-    }
+    _network->setDeliver(
+        [this](const noc::Message &msg) { dispatch(msg); });
 }
 
 void
@@ -214,43 +104,11 @@ CoronaSystem::reset()
 void
 CoronaSystem::instrument(obs::Registry &registry)
 {
-    if (_network->statsSharded()) {
-        // Per-destination lanes: the aggregate is merged on demand, so
-        // the typed counter fast path (which binds one counter's
-        // address) cannot apply. Same paths, same order, same values —
-        // read through closures instead. Safe only at quiescent points
-        // (samples fire at executor barriers; snapshots after the run).
-        const noc::Interconnect *net = _network.get();
-        registry.add("net/messages", [net] {
-            return static_cast<double>(
-                net->netStats().messages.value());
-        });
-        registry.add("net/bytes", [net] {
-            return static_cast<double>(net->netStats().bytes.value());
-        });
-        registry.add("net/hops", [net] {
-            return static_cast<double>(
-                net->netStats().hopTraversals.value());
-        });
-        registry.add("net/latency/count", [net] {
-            return static_cast<double>(net->netStats().latency.count());
-        });
-        registry.add("net/latency/mean", [net] {
-            return net->netStats().latency.mean();
-        });
-        registry.add("net/latency/min", [net] {
-            return net->netStats().latency.min();
-        });
-        registry.add("net/latency/max", [net] {
-            return net->netStats().latency.max();
-        });
-    } else {
-        const noc::NetStats &net = _network->netStats();
-        registry.add("net/messages", net.messages);
-        registry.add("net/bytes", net.bytes);
-        registry.add("net/hops", net.hopTraversals);
-        registry.addStats("net/latency", net.latency);
-    }
+    const noc::NetStats &net = _network->netStats();
+    registry.add("net/messages", net.messages);
+    registry.add("net/bytes", net.bytes);
+    registry.add("net/hops", net.hopTraversals);
+    registry.addStats("net/latency", net.latency);
 
     if (_xbar) {
         for (topology::ClusterId c = 0; c < _xbar->clusters(); ++c) {

@@ -33,10 +33,6 @@ class EventTracer;
 class Registry;
 } // namespace corona::obs
 
-namespace corona::sim {
-class ShardedExecutor;
-} // namespace corona::sim
-
 namespace corona::core {
 
 class CoherentFrontEnd;
@@ -52,20 +48,6 @@ class CoronaSystem
      * @param config System configuration.
      */
     CoronaSystem(sim::EventQueue &eq, const SystemConfig &config);
-
-    /**
-     * Sharded-executor assembly (see exec_plan.hh for the entity
-     * layout): cluster c's hub and memory controller run on
-     * @p exec's queueFor(c); crossbar channels on their home
-     * cluster's queue; mesh/ideal fabrics on the fabric entity's
-     * queue. Hubs inject through a staging adapter that posts to the
-     * real network at the lookahead latency, and (for mesh/ideal)
-     * delivery posts back to the destination cluster the same way,
-     * so every cross-entity interaction respects the executor's
-     * window discipline. The coherent front end is not partitionable
-     * and is fatal here — effectiveSimThreads() never plans it.
-     */
-    CoronaSystem(sim::ShardedExecutor &exec, const SystemConfig &config);
 
     ~CoronaSystem(); // Out of line: CoherentFrontEnd is incomplete here.
 
@@ -132,16 +114,11 @@ class CoronaSystem
     const CoherentFrontEnd *frontEnd() const { return _frontEnd.get(); }
 
   private:
-    CoronaSystem(sim::EventQueue *eq, sim::ShardedExecutor *exec,
-                 const SystemConfig &config);
-
     /** Route a delivered message to its destination hub / front end. */
     void dispatch(const noc::Message &msg);
 
     SystemConfig _config;
     topology::Geometry _geom;
-    /** Executor-mode hub-side staging adapter (null otherwise). */
-    std::unique_ptr<noc::Interconnect> _fabricNet;
     std::unique_ptr<noc::Interconnect> _network;
     xbar::OpticalCrossbar *_xbar = nullptr;
     mesh::ElectricalMesh *_mesh = nullptr;

@@ -62,6 +62,7 @@ void
 MshrFile::coalesce(topology::Addr line, WakeFn &&waker)
 {
     append(entryOf(line, "MshrFile::coalesce"), std::move(waker));
+    ++_coalesced;
 }
 
 MshrFile::Join
@@ -76,6 +77,8 @@ MshrFile::join(topology::Addr line, sim::Tick now, WakeFn &&waker)
             return Join::Full;
         slot = claim(slot, line, now);
         outcome = Join::Allocated;
+    } else {
+        ++_coalesced;
     }
     append(slot, std::move(waker));
     return outcome;
@@ -147,7 +150,6 @@ MshrFile::append(std::size_t slot, WakeFn &&waker)
     else
         _next[entry.tail] = node;
     entry.tail = node;
-    ++_coalesced;
 }
 
 void

@@ -98,8 +98,9 @@ class MshrFile
     /** Entry lifetime statistics, ticks. */
     const stats::RunningStats &lifetime() const { return _lifetime; }
 
-    /** Waiters attached by coalesce() and join(), primary ones
-     * included. */
+    /** Secondary misses: waiters attached by coalesce() or by a
+     * join() that returned Coalesced. A join() that allocates attaches
+     * the primary waiter and does not count. */
     std::uint64_t coalesced() const { return _coalesced; }
 
     /** Allocation attempts rejected because the file was full. */

@@ -13,7 +13,6 @@
 
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "noc/message.hh"
 #include "stats/stats.hh"
@@ -29,17 +28,6 @@ struct NetStats
     stats::RunningStats latency;    ///< Inject-to-deliver latency, ticks.
     stats::Counter hopTraversals;   ///< Sum over messages of hops taken
                                     ///< (drives the mesh power model).
-
-    /** Fold @p other into this aggregate (deterministic: callers merge
-     * per-destination lanes in destination order). */
-    void
-    merge(const NetStats &other)
-    {
-        messages.increment(other.messages.value());
-        bytes.increment(other.bytes.value());
-        latency.merge(other.latency);
-        hopTraversals.increment(other.hopTraversals.value());
-    }
 };
 
 /**
@@ -75,68 +63,27 @@ class Interconnect
      * it binds the network to its owning system, not to one run. Only
      * meaningful when the shared EventQueue is reset alongside.
      */
-    virtual void
-    reset()
-    {
-        for (NetStats &lane : _stats)
-            lane = NetStats{};
-    }
+    virtual void reset() { _stats = NetStats{}; }
 
-    /**
-     * The aggregate statistics. With per-destination lanes this merges
-     * in destination order on every call — deterministic, and safe
-     * only while the simulation is quiescent (end of run, or a window
-     * barrier).
-     */
-    const NetStats &
-    netStats() const
-    {
-        if (_stats.size() == 1)
-            return _stats[0];
-        _merged = NetStats{};
-        for (const NetStats &lane : _stats)
-            _merged.merge(lane);
-        return _merged;
-    }
-
-    /**
-     * Split the delivery statistics into one lane per destination
-     * cluster. Sharded executors home each crossbar channel — and so
-     * each destination's delivered() calls — on its own shard; lanes
-     * make those updates single-writer without locks, and the
-     * destination-ordered merge keeps the aggregate bit-identical at
-     * any shard count.
-     */
-    void
-    shardStatsByDestination(std::size_t destinations)
-    {
-        _stats.assign(destinations > 0 ? destinations : 1, NetStats{});
-    }
-
-    /** True when delivery statistics are split per destination. */
-    bool statsSharded() const { return _stats.size() > 1; }
+    /** The aggregate statistics. */
+    const NetStats &netStats() const { return _stats; }
 
   protected:
     /** Concrete models call this exactly once per delivered message. */
     void
     delivered(const Message &msg, sim::Tick now, std::size_t hops)
     {
-        NetStats &lane =
-            _stats.size() == 1 ? _stats[0] : _stats[msg.dst];
-        lane.messages.increment();
-        lane.bytes.increment(msg.bytes());
-        lane.latency.sample(static_cast<double>(now - msg.injected));
-        lane.hopTraversals.increment(hops);
+        _stats.messages.increment();
+        _stats.bytes.increment(msg.bytes());
+        _stats.latency.sample(static_cast<double>(now - msg.injected));
+        _stats.hopTraversals.increment(hops);
         if (_deliver)
             _deliver(msg);
     }
 
   private:
     Deliver _deliver;
-    /** One lane in the serial layout; one per destination cluster
-     * when shardStatsByDestination() split them. */
-    std::vector<NetStats> _stats = std::vector<NetStats>(1);
-    mutable NetStats _merged;
+    NetStats _stats;
 };
 
 } // namespace corona::noc

@@ -10,7 +10,6 @@
 #include "corona/context.hh"
 #include "corona/system.hh"
 #include "sim/logging.hh"
-#include "sim/parallel.hh"
 
 namespace corona::obs {
 
@@ -157,11 +156,6 @@ RunObserver::RunObserver(core::SimContext &ctx,
 {
     if (_registry.empty())
         _ctx.system().instrument(_registry);
-    if (_obs.trace_capacity > 0 && _ctx.executor())
-        sim::fatal("obs: event tracing requires the serial engine "
-                   "(the shared ring's eviction order is not "
-                   "shard-count-invariant); effectiveSimThreads() "
-                   "plans traced runs serial");
     if (_obs.trace_capacity > 0) {
         // Reuse the context's ring: rebuilding a multi-thousand-slot
         // ring per run is an mmap round trip and a page-fault storm on
@@ -182,8 +176,6 @@ RunObserver::~RunObserver()
 {
     if (_tracer)
         _ctx.system().setTracer(nullptr);
-    if (_hookedExecutor)
-        _hookedExecutor->clearTickHook();
 }
 
 void
@@ -201,19 +193,7 @@ RunObserver::start()
             scratch.sampler = std::make_unique<TimeSeriesSampler>(
                 _registry, _ctx.eq(), _obs.sample_period);
         _sampler = scratch.sampler.get();
-        if (sim::ShardedExecutor *exec = _ctx.executor()) {
-            // Sharded runs sample at window barriers: every event up
-            // to the sample tick has executed and none beyond it, the
-            // same cut the serial sampler's self-scheduled event sees.
-            _sampler->startExternal();
-            TimeSeriesSampler *sampler = _sampler;
-            exec->setTickHook(
-                _obs.sample_period,
-                [sampler](sim::Tick tick) { sampler->sampleTick(tick); });
-            _hookedExecutor = exec;
-        } else {
-            _sampler->start();
-        }
+        _sampler->start();
     }
 }
 
@@ -258,14 +238,8 @@ RunObserver::finish()
         writeFileOrDie(_obs.snapshot_path, [this](std::ostream &os) {
             _registry.writeSnapshotCsv(os);
         });
-    if (_hookedExecutor) {
-        _hookedExecutor->clearTickHook();
-        _hookedExecutor = nullptr;
-    }
     if (_obs.capture) {
-        _obs.capture->end_tick = _ctx.executor()
-                                     ? _ctx.executor()->now()
-                                     : _ctx.eq().now();
+        _obs.capture->end_tick = _ctx.eq().now();
         _obs.capture->values = _registry.read();
         if (_obs.capture->want_paths)
             _obs.capture->paths = _registry.paths();

@@ -45,10 +45,6 @@ namespace corona::core {
 class SimContext;
 } // namespace corona::core
 
-namespace corona::sim {
-class ShardedExecutor;
-} // namespace corona::sim
-
 namespace corona::obs {
 
 /**
@@ -195,9 +191,6 @@ class RunObserver
     /** Owned by the context's ObsScratch, reused across leases. */
     EventTracer *_tracer = nullptr;
     TimeSeriesSampler *_sampler = nullptr;
-    /** The executor whose barrier tick hook drives the sampler on a
-     * sharded context (null otherwise); cleared on finish. */
-    sim::ShardedExecutor *_hookedExecutor = nullptr;
 };
 
 } // namespace corona::obs

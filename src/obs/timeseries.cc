@@ -186,7 +186,7 @@ TimeSeriesSampler::TimeSeriesSampler(const Registry &registry,
 }
 
 void
-TimeSeriesSampler::prepare()
+TimeSeriesSampler::start()
 {
     // Resolve once: the per-sample loop touches only this flat table
     // (a typed counter load, or one indirect call), never the
@@ -214,33 +214,14 @@ TimeSeriesSampler::prepare()
     _values.clear();
     _ticks.reserve(8);
     _values.reserve(8 * _probeCount);
-}
-
-void
-TimeSeriesSampler::start()
-{
-    prepare();
     sample();
     scheduleNext();
 }
 
 void
-TimeSeriesSampler::startExternal()
+TimeSeriesSampler::sample()
 {
-    prepare();
-    record(0);
-}
-
-void
-TimeSeriesSampler::sampleTick(sim::Tick tick)
-{
-    record(tick);
-}
-
-void
-TimeSeriesSampler::record(sim::Tick tick)
-{
-    _ticks.push_back(tick);
+    _ticks.push_back(_eq.now());
     const std::size_t at = _values.size();
     _values.resize(at + _probeCount);
     double *row = _values.data() + at;
@@ -250,12 +231,6 @@ TimeSeriesSampler::record(sim::Tick tick)
                      ? static_cast<double>(probe.counter->value())
                      : (*probe.read)();
     }
-}
-
-void
-TimeSeriesSampler::sample()
-{
-    record(_eq.now());
 }
 
 void

@@ -96,19 +96,6 @@ class TimeSeriesSampler
      */
     void start();
 
-    /**
-     * Externally driven variant: resolve the probe table and take the
-     * t=0 sample, but schedule nothing — the sharded executor's
-     * barrier tick hook calls sampleTick() at each period instead.
-     * Samples then read the model at a quiescent point (every event
-     * up to the sample tick executed, none beyond), the same
-     * guarantee the event-based sampler gets from the serial queue.
-     */
-    void startExternal();
-
-    /** Record one row at @p tick (executor barrier hook). */
-    void sampleTick(sim::Tick tick);
-
     sim::Tick period() const { return _period; }
     std::size_t rowCount() const { return _ticks.size(); }
     std::size_t probeCount() const { return _probeCount; }
@@ -145,8 +132,6 @@ class TimeSeriesSampler
         const std::function<double()> *read = nullptr;
     };
 
-    void prepare();
-    void record(sim::Tick tick);
     void sample();
     void scheduleNext();
 

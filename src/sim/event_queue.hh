@@ -88,11 +88,6 @@ class EventQueue
     /** Total events executed so far. */
     std::uint64_t executed() const { return _executed; }
 
-    /** Earliest pending event tick, or maxTick when drained. Exposed
-     * for window-based executors (sim::ShardedExecutor) that need the
-     * global minimum next tick across several queues. */
-    Tick nextTick() const { return nextEventTick(); }
-
     /**
      * Run until the queue drains or @p limit is reached.
      *

@@ -99,19 +99,6 @@ Histogram::percentile(double fraction) const
 }
 
 void
-Histogram::merge(const Histogram &other)
-{
-    if (other._bucketWidth != _bucketWidth ||
-        other._buckets.size() != _buckets.size())
-        throw std::invalid_argument(
-            "Histogram::merge: mismatched bucket geometry");
-    for (std::size_t i = 0; i < _buckets.size(); ++i)
-        _buckets[i] += other._buckets[i];
-    _overflow += other._overflow;
-    _count += other._count;
-}
-
-void
 Histogram::reset()
 {
     std::fill(_buckets.begin(), _buckets.end(), 0);

@@ -87,14 +87,6 @@ class Histogram
     /** Value below which @p fraction of samples fall (linear in-bucket). */
     double percentile(double fraction) const;
 
-    /**
-     * Fold @p other into this histogram. Both must share the same
-     * bucket geometry. Bucket counts are integers, so merging is
-     * exactly commutative — per-shard histograms combined in any fixed
-     * order reproduce the single-histogram result bit for bit.
-     */
-    void merge(const Histogram &other);
-
     void reset();
 
   private:

@@ -102,7 +102,7 @@ MissStreamWorkload::next(std::size_t thread, sim::Tick, sim::Rng &rng)
     for (;;) {
         const topology::Addr addr = nextAddress(thread, rng);
         const bool write = rng.chance(_params.write_fraction);
-        _accesses.fetch_add(1, std::memory_order_relaxed);
+        ++_accesses;
         think += _params.access_period;
 
         if (l1.access(addr, write).hit)

@@ -17,7 +17,6 @@
 #ifndef CORONA_WORKLOAD_MISS_STREAM_HH
 #define CORONA_WORKLOAD_MISS_STREAM_HH
 
-#include <atomic>
 #include <deque>
 #include <memory>
 #include <vector>
@@ -84,23 +83,7 @@ class MissStreamWorkload : public Workload
     double l2MissRate() const;
 
     /** Total memory accesses generated so far. */
-    std::uint64_t
-    accesses() const
-    {
-        return _accesses.load(std::memory_order_relaxed);
-    }
-
-    /** All generative state is per thread (L1s, cursors, writeback
-     * queues) or per cluster (L2s), and the access counter is a
-     * commutative atomic sum — safe to drive from per-cluster lanes
-     * when the mapping matches this model's. */
-    bool
-    partitionable(std::size_t clusters,
-                  std::size_t threads_per_cluster) const override
-    {
-        return clusters == _params.clusters &&
-               threads_per_cluster == _params.threads_per_cluster;
-    }
+    std::uint64_t accesses() const { return _accesses; }
 
     void
     reset() override
@@ -112,7 +95,7 @@ class MissStreamWorkload : public Workload
         _cursor.assign(_cursor.size(), 0);
         for (auto &queue : _writebacks)
             queue.clear();
-        _accesses.store(0, std::memory_order_relaxed);
+        _accesses = 0;
     }
 
   private:
@@ -126,9 +109,7 @@ class MissStreamWorkload : public Workload
     std::vector<std::uint64_t> _cursor;               ///< Per thread.
     /** Dirty L2 victims waiting to be emitted as write misses. */
     std::vector<std::deque<topology::Addr>> _writebacks;
-    /** Relaxed atomic: lanes on different shards bump it
-     * concurrently; the sum is order-independent. */
-    std::atomic<std::uint64_t> _accesses{0};
+    std::uint64_t _accesses = 0;
 };
 
 } // namespace corona::workload

@@ -66,16 +66,6 @@ class SyntheticWorkload : public Workload
     double offeredBytesPerSecond() const override;
     std::size_t threads() const override;
 
-    /** Per-thread sequence counters plus the caller's RNG: safe to
-     * drive from per-cluster lanes when the mapping matches. */
-    bool
-    partitionable(std::size_t clusters,
-                  std::size_t threads_per_cluster) const override
-    {
-        return clusters == _geom.clusters() &&
-               threads_per_cluster == _params.threads_per_cluster;
-    }
-
     void
     reset() override
     {

@@ -92,24 +92,8 @@ class Workload
     /** Threads the model drives (1024 for all paper workloads). */
     virtual std::size_t threads() const { return 1024; }
 
-    /**
-     * True when next()/nextReference() for a thread touch only state
-     * confined to that thread's cluster (per-thread cursors, the
-     * cluster's own caches) under the driver's thread-to-cluster
-     * mapping: thread / @p threads_per_cluster. The sharded executor
-     * drives each cluster's threads from its own lane concurrently,
-     * so only partitionable workloads may run parallel; everything
-     * else falls back to the serial engine. Conservative default:
-     * models must opt in after auditing their state.
-     */
-    virtual bool
-    partitionable(std::size_t clusters,
-                  std::size_t threads_per_cluster) const
-    {
-        (void)clusters;
-        (void)threads_per_cluster;
-        return false;
-    }
+    /** Kept only for perfbench/ (remove when the benchmark next changes). */
+    virtual bool partitionable(std::size_t, std::size_t) const { return false; }
 
     /**
      * Restore the pristine post-construction state (sequence

@@ -10,22 +10,11 @@ OpticalCrossbar::OpticalCrossbar(sim::EventQueue &eq,
                                  const sim::ClockDomain &clock,
                                  std::size_t clusters,
                                  const ChannelParams &params)
-    : OpticalCrossbar(
-          [&eq](topology::ClusterId) -> sim::EventQueue & { return eq; },
-          clock, clusters, params)
-{
-}
-
-OpticalCrossbar::OpticalCrossbar(const QueueFor &queue_for,
-                                 const sim::ClockDomain &clock,
-                                 std::size_t clusters,
-                                 const ChannelParams &params)
 {
     if (clusters < 2)
         throw std::invalid_argument("OpticalCrossbar: need >= 2 clusters");
     _channels.reserve(clusters);
     for (topology::ClusterId home = 0; home < clusters; ++home) {
-        sim::EventQueue &eq = queue_for(home);
         auto channel = std::make_unique<OpticalChannel>(eq, clock, clusters,
                                                         home, params);
         channel->setDeliver([this, &eq](const noc::Message &msg) {

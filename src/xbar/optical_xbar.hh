@@ -11,7 +11,6 @@
 #ifndef CORONA_XBAR_OPTICAL_XBAR_HH
 #define CORONA_XBAR_OPTICAL_XBAR_HH
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -28,11 +27,6 @@ namespace corona::xbar {
 class OpticalCrossbar : public noc::Interconnect
 {
   public:
-    /** Queue provider for sharded construction: the queue that drives
-     * channel @p home (and its token arbiter). */
-    using QueueFor =
-        std::function<sim::EventQueue &(topology::ClusterId home)>;
-
     /**
      * @param eq Event queue.
      * @param clock 5 GHz digital clock.
@@ -41,17 +35,6 @@ class OpticalCrossbar : public noc::Interconnect
      */
     OpticalCrossbar(sim::EventQueue &eq, const sim::ClockDomain &clock,
                     std::size_t clusters, const ChannelParams &params = {});
-
-    /**
-     * Sharded-executor variant: each MWSR channel is homed at its
-     * reading cluster, so pinning channel h to cluster h's queue makes
-     * every channel event (serialization, token arbitration, delivery)
-     * run on the destination entity's shard. send() must then be
-     * invoked on msg.dst's shard — the fabric adapter stages it there.
-     */
-    OpticalCrossbar(const QueueFor &queue_for,
-                    const sim::ClockDomain &clock, std::size_t clusters,
-                    const ChannelParams &params = {});
 
     void send(const noc::Message &msg) override;
     std::string name() const override { return "XBar"; }

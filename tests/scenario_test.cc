@@ -297,6 +297,23 @@ TEST(Scenario, RejectsUnknownSectionsKeysAndBadValues)
     // Missing mandatory sections.
     EXPECT_THROW(campaign::parseScenario("[scenario]\nname = x\n"),
                  sim::FatalError);
+    // A key the simulator no longer has is an unknown key like any
+    // other: rejected with its line number, never silently ignored.
+    try {
+        campaign::parseScenario(
+            withLine("threads =", "threads = 2\nsim_threads = 4"));
+        ADD_FAILURE() << "[execution] sim_threads was accepted";
+    } catch (const sim::FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "line 22: unknown key \"sim_threads\" in "
+                      "[execution]"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(campaign::serializeScenario(
+                  campaign::parseScenario(kFullScenario))
+                  .find("sim_threads"),
+              std::string::npos);
 }
 
 TEST(Scenario, RejectsUnknownRegistryNamesAndKnobsAtParseTime)

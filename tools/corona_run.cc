@@ -18,7 +18,6 @@
  * and checkpoint without rewriting the file).
  */
 
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
@@ -41,13 +40,7 @@ usage(std::ostream &os)
           "  --dry-run   resolve the scenario and print the expanded\n"
           "              grid summary without running it\n"
           "  --no-table  skip the per-run results table on stdout\n"
-          "  --quiet     suppress progress/ETA chatter on stderr\n"
-          "  --sim-threads N\n"
-          "              run each simulation on N conservative\n"
-          "              parallel shards (overrides the scenario's\n"
-          "              [execution] sim_threads; runs that cannot\n"
-          "              partition fall back to the serial engine,\n"
-          "              bit-identically)\n\n"
+          "  --quiet     suppress progress/ETA chatter on stderr\n\n"
           "Environment overrides: CORONA_REQUESTS, CORONA_JOBS,\n"
           "CORONA_SHARD, CORONA_CHECKPOINT, CORONA_SWEEP_CSV,\n"
           "CORONA_SWEEP_JSONL, CORONA_SUMMARY_CSV override the\n"
@@ -64,7 +57,6 @@ main(int argc, char **argv)
     bool dry_run = false;
     bool table = true;
     bool quiet = false;
-    int sim_threads = -1; // -1 = keep the scenario's setting.
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--print") {
@@ -75,21 +67,6 @@ main(int argc, char **argv)
             table = false;
         } else if (arg == "--quiet") {
             quiet = true;
-        } else if (arg == "--sim-threads") {
-            if (i + 1 >= argc) {
-                std::cerr << "corona-run: --sim-threads needs a "
-                             "count\n";
-                return 2;
-            }
-            char *end = nullptr;
-            const long value = std::strtol(argv[++i], &end, 10);
-            if (end == argv[i] || *end != '\0' || value < 0 ||
-                value > 1024) {
-                std::cerr << "corona-run: bad --sim-threads value \""
-                          << argv[i] << "\"\n";
-                return 2;
-            }
-            sim_threads = static_cast<int>(value);
         } else if (arg == "--help" || arg == "-h") {
             usage(std::cout);
             return 0;
@@ -114,11 +91,8 @@ main(int argc, char **argv)
     }
 
     try {
-        campaign::ScenarioSpec scenario =
+        const campaign::ScenarioSpec scenario =
             campaign::loadScenarioFile(path);
-        if (sim_threads >= 0)
-            scenario.execution.sim_threads =
-                static_cast<unsigned>(sim_threads);
 
         if (print) {
             std::cout << campaign::serializeScenario(scenario);
