@@ -2,9 +2,9 @@
 # Coherent-front-end smoke test against the real corona-run /
 # corona-stats binaries:
 #
-#   1. Parity gate: a grid run with frontend=coherent and a
-#      pass-through hierarchy (l1_kib=0 l2_kib=0, labelled like the
-#      baseline) writes byte-identical CSV sink output to the same
+#   1. Parity gate: a grid run with frontend=coherent and no cache
+#      level (l1_kib=0 l2_kib=0, labelled like the baseline; no front
+#      end is built) writes byte-identical CSV sink output to the same
 #      grid through the miss-stream front end, at 1 and 4 workers.
 #   2. A coherent scenario with caches and sharing workloads runs end
 #      to end; corona-stats validates the registry snapshots, which

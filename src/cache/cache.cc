@@ -98,12 +98,6 @@ Cache::contains(topology::Addr addr) const
     return false;
 }
 
-bool
-Cache::invalidate(topology::Addr addr)
-{
-    return invalidateLine(addr).present;
-}
-
 InvalidateResult
 Cache::invalidateLine(topology::Addr addr)
 {

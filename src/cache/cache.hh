@@ -73,9 +73,6 @@ class Cache
     /** Probe without disturbing LRU or allocating. */
     bool contains(topology::Addr addr) const;
 
-    /** Invalidate a line (coherence); @return true if it was present. */
-    bool invalidate(topology::Addr addr);
-
     /** Invalidate a line, reporting whether it was present and dirty
      * (the hierarchy turns a dirty back-invalidation into a
      * writeback). */

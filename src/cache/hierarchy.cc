@@ -1,10 +1,14 @@
 #include "cache/hierarchy.hh"
 
+#include <stdexcept>
+
 namespace corona::cache {
 
 ClusterHierarchy::ClusterHierarchy(const HierarchyConfig &config)
     : _config(config)
 {
+    if (config.l1_kib == 0 && config.l2_kib == 0)
+        throw std::invalid_argument("ClusterHierarchy: no cache level");
     if (config.l1_kib > 0) {
         _l1.emplace(CacheConfig{std::uint64_t{config.l1_kib} * 1024,
                                 config.l1_assoc, config.line_bytes});
@@ -19,23 +23,14 @@ HierarchyResult
 ClusterHierarchy::access(topology::Addr addr, bool write)
 {
     HierarchyResult result;
-    if (passThrough())
-        return result;
 
     // Write-through stores never dirty a line; the store reaches memory
     // as sideband traffic instead.
     const bool mark = write && !_config.write_through;
 
-    if (_l1 && !_l2) {
-        const AccessResult r = _l1->access(addr, mark);
-        result.hit = r.hit;
-        if (r.evicted) {
-            result.evictions.push_back(*r.evicted);
-            if (r.writeback)
-                result.writebacks.push_back(*r.writeback);
-        }
-    } else if (_l2 && !_l1) {
-        const AccessResult r = _l2->access(addr, mark);
+    if (!_l1 || !_l2) {
+        // One level: it alone decides residency.
+        const AccessResult r = (_l1 ? *_l1 : *_l2).access(addr, mark);
         result.hit = r.hit;
         if (r.evicted) {
             result.evictions.push_back(*r.evicted);

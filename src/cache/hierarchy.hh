@@ -5,9 +5,8 @@
  * The coherent front end runs each thread's reference stream through one
  * ClusterHierarchy per cluster: hits are filtered out, misses and
  * writebacks become hub/crossbar traffic. Either level may be absent
- * (capacity 0), and a hierarchy with no levels at all is a *pass-through*
- * — every reference misses, which degenerates the coherent front end to
- * the miss-stream front end (the basis of the parity gate).
+ * (capacity 0), but not both: a config with no cache level builds no
+ * coherent front end at all, so its references take the miss-stream path.
  *
  * Residency is mostly-inclusive with the L2 authoritative: an L2
  * eviction back-invalidates the L1 (a dirty back-invalidated line counts
@@ -59,6 +58,7 @@ struct HierarchyResult
 class ClusterHierarchy
 {
   public:
+    /** @throws std::invalid_argument for a shape with no cache level. */
     explicit ClusterHierarchy(const HierarchyConfig &config = {});
 
     /** Filter one reference; allocates on miss. */
@@ -70,9 +70,6 @@ class ClusterHierarchy
     /** Remove a line from every level (coherence invalidation).
      * `dirty` is set when any level held a modified copy. */
     InvalidateResult invalidateLine(topology::Addr addr);
-
-    /** No levels configured: every reference misses. */
-    bool passThrough() const { return !_l1 && !_l2; }
 
     const Cache *l1() const { return _l1 ? &*_l1 : nullptr; }
     const Cache *l2() const { return _l2 ? &*_l2 : nullptr; }

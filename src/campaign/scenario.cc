@@ -201,9 +201,12 @@ ScenarioSpec::resolve() const
     spec.seed_policy = seed_policy;
     spec.seeds = seeds;
 
+    // Threads each workload axis entry drives, in spec.workloads order.
+    std::vector<std::size_t> workload_threads;
     const auto addWorkload =
-        [&spec](const std::string &workload_name,
-                const std::vector<workload::WorkloadKnob> &knobs) {
+        [&spec, &workload_threads](
+            const std::string &workload_name,
+            const std::vector<workload::WorkloadKnob> &knobs) {
             AxisExpression canonical{workload_name, knobs};
             if (trace::isTraceExpression(workload_name)) {
                 // A trace: axis validates its file eagerly and takes
@@ -218,12 +221,15 @@ ScenarioSpec::resolve() const
                         ? canonicalExpression(canonical)
                         : axis.label,
                     axis.synthetic, std::move(axis.make)});
+                workload_threads.push_back(axis.threads);
                 return;
             }
+            workload::RegistryAxis axis =
+                workload::registryAxis(workload_name, knobs);
             spec.workloads.push_back(WorkloadSpec{
-                canonicalExpression(canonical),
-                workload::registryEntry(workload_name).synthetic,
-                workload::registryFactory(workload_name, knobs)});
+                canonicalExpression(canonical), axis.synthetic,
+                std::move(axis.make)});
+            workload_threads.push_back(axis.threads);
         };
     for (const std::string &text : workloads) {
         const AxisExpression expr =
@@ -296,6 +302,21 @@ ScenarioSpec::resolve() const
     // a scenario that runs", so a collision must not wait for the
     // runner's expand() after the job has been distributed.
     validateAxisLabels(spec);
+    // Likewise every (workload, config) cell must bind one workload
+    // thread per system thread; counted from the resolved knobs, with
+    // no workload built.
+    for (std::size_t w = 0; w < spec.workloads.size(); ++w) {
+        for (const core::SystemConfig &config : spec.configs) {
+            if (workload_threads[w] != config.threads()) {
+                badScenario(
+                    "workload \"" + spec.workloads[w].name +
+                    "\" drives " + std::to_string(workload_threads[w]) +
+                    " threads, but config \"" + config.name() +
+                    "\" has " + std::to_string(config.threads()) +
+                    " (clusters x threads_per_cluster)");
+            }
+        }
+    }
 
     return spec;
 }

@@ -49,16 +49,6 @@ class CachePeer
     /** Downgrade/invalidate; removes the line when Invalid. */
     void setState(topology::Addr line, MoesiState state);
 
-    /** Lines currently held (non-Invalid). */
-    std::size_t heldLines() const { return _lines.size(); }
-
-    /** All held copies (for invariant checking). */
-    const std::unordered_map<topology::Addr, Copy> &
-    lines() const
-    {
-        return _lines;
-    }
-
     /** Drop every copy (cold peer). */
     void reset() { _lines.clear(); }
 

@@ -1,14 +1,14 @@
 #include "coherence/coherent_system.hh"
 
 #include <stdexcept>
+#include <string>
 
 #include "sim/logging.hh"
 
 namespace corona::coherence {
 
 CoherentSystem::CoherentSystem(const CoherenceConfig &config)
-    : _config(config), _directories(config.peers),
-      _map(config.peers, 4096, true)
+    : _config(config), _map(config.peers, 4096, true)
 {
     if (config.peers == 0 || config.peers > maxPeers)
         throw std::invalid_argument("CoherentSystem: bad peer count");
@@ -20,8 +20,34 @@ CoherentSystem::CoherentSystem(const CoherenceConfig &config)
 std::size_t
 CoherentSystem::homeOf(topology::Addr line) const
 {
-    const auto it = _homes.find(line);
-    return it == _homes.end() ? _map.homeOf(line) : it->second;
+    const LineRecord *rec = find(line);
+    return rec ? rec->home : _map.homeOf(line);
+}
+
+const LineRecord *
+CoherentSystem::find(topology::Addr line) const
+{
+    const auto it = _lines.find(line);
+    return it == _lines.end() ? nullptr : &it->second;
+}
+
+LineRecord &
+CoherentSystem::recordOf(const char *op, std::size_t peer,
+                         topology::Addr line, std::size_t home)
+{
+    if (peer >= _peers.size())
+        throw std::out_of_range(std::string("CoherentSystem::") + op +
+                                ": bad peer");
+    if (home >= _peers.size())
+        throw std::out_of_range(std::string("CoherentSystem::") + op +
+                                ": bad home");
+    const auto [it, inserted] = _lines.try_emplace(line);
+    if (inserted)
+        it->second.home = home;
+    else if (it->second.home != home)
+        sim::fatal("CoherentSystem: workload re-homed a line (the home "
+                   "must be a pure function of the address)");
+    return it->second;
 }
 
 void
@@ -43,12 +69,7 @@ CoherentSystem::reset()
 {
     for (auto &peer : _peers)
         peer.reset();
-    for (auto &dir : _directories)
-        dir.reset();
-    _memory.clear();
-    _versionCounter.clear();
-    _touched.clear();
-    _homes.clear();
+    _lines.clear();
     _msgCounts.fill(0);
     // The emitter survives: it is wiring, not state.
 }
@@ -71,19 +92,20 @@ CoherentSystem::totalMessages() const
 std::uint64_t
 CoherentSystem::memoryVersion(topology::Addr line) const
 {
-    const auto it = _memory.find(line);
-    return it == _memory.end() ? 0 : it->second;
+    const LineRecord *rec = find(line);
+    return rec ? rec->memory : 0;
 }
 
 std::uint64_t
-CoherentSystem::currentVersion(topology::Addr line) const
+CoherentSystem::currentVersion(topology::Addr line,
+                               const LineRecord &rec) const
 {
     for (const auto &peer : _peers) {
         const MoesiState st = peer.state(line);
         if (isDirty(st))
             return peer.version(line);
     }
-    return memoryVersion(line);
+    return rec.memory;
 }
 
 std::uint64_t
@@ -95,18 +117,13 @@ CoherentSystem::read(std::size_t peer, topology::Addr line)
 std::uint64_t
 CoherentSystem::read(std::size_t peer, topology::Addr line, std::size_t home)
 {
-    if (peer >= _peers.size())
-        throw std::out_of_range("CoherentSystem::read: bad peer");
-    if (home >= _directories.size())
-        throw std::out_of_range("CoherentSystem::read: bad home");
-    _touched.insert(line);
-    _homes.emplace(line, home);
+    LineRecord &rec = recordOf("read", peer, line, home);
     CachePeer &p = _peers[peer];
     if (canRead(p.state(line)))
         return p.version(line); // Hit; no protocol traffic.
 
     count(CoherenceMsg::GetS);
-    DirectoryEntry &entry = _directories[home].entry(line);
+    DirectoryEntry &entry = rec.dir;
     std::uint64_t version = 0;
 
     if (entry.owner && *entry.owner != peer) {
@@ -138,13 +155,13 @@ CoherentSystem::read(std::size_t peer, topology::Addr line, std::size_t home)
     } else if (entry.sharers.any()) {
         // Clean sharers exist; memory supplies data.
         count(CoherenceMsg::Data);
-        version = memoryVersion(line);
+        version = rec.memory;
         entry.sharers.set(peer);
         p.setLine(line, MoesiState::Shared, version);
     } else {
         // Uncached: grant Exclusive.
         count(CoherenceMsg::Data);
-        version = memoryVersion(line);
+        version = rec.memory;
         entry.owner = peer;
         p.setLine(line, MoesiState::Exclusive, version);
     }
@@ -152,11 +169,11 @@ CoherentSystem::read(std::size_t peer, topology::Addr line, std::size_t home)
 }
 
 void
-CoherentSystem::invalidateSharers(DirectoryEntry &entry,
-                                  topology::Addr line, std::size_t home,
+CoherentSystem::invalidateSharers(LineRecord &rec, topology::Addr line,
                                   std::size_t except)
 {
-    SharerSet victims = entry.sharers;
+    const std::size_t home = rec.home;
+    SharerSet victims = rec.dir.sharers;
     if (except < maxPeers)
         victims.reset(except);
     const std::size_t n = victims.count();
@@ -181,7 +198,7 @@ CoherentSystem::invalidateSharers(DirectoryEntry &entry,
             _peers[i].setState(line, MoesiState::Invalid);
         }
     }
-    entry.sharers &= ~victims;
+    rec.dir.sharers &= ~victims;
 }
 
 std::uint64_t
@@ -193,24 +210,19 @@ CoherentSystem::write(std::size_t peer, topology::Addr line)
 std::uint64_t
 CoherentSystem::write(std::size_t peer, topology::Addr line, std::size_t home)
 {
-    if (peer >= _peers.size())
-        throw std::out_of_range("CoherentSystem::write: bad peer");
-    if (home >= _directories.size())
-        throw std::out_of_range("CoherentSystem::write: bad home");
-    _touched.insert(line);
-    _homes.emplace(line, home);
+    LineRecord &rec = recordOf("write", peer, line, home);
     CachePeer &p = _peers[peer];
     const MoesiState st = p.state(line);
 
     if (canWrite(st)) {
         // E upgrades to M silently; M stays M.
-        const std::uint64_t version = ++_versionCounter[line];
+        const std::uint64_t version = ++rec.latest;
         p.setLine(line, MoesiState::Modified, version);
         return version;
     }
 
     count(CoherenceMsg::GetM);
-    DirectoryEntry &entry = _directories[home].entry(line);
+    DirectoryEntry &entry = rec.dir;
 
     // Fetch data unless this peer already holds a readable copy (S/O).
     if (st == MoesiState::Invalid) {
@@ -235,10 +247,10 @@ CoherentSystem::write(std::size_t peer, topology::Addr line, std::size_t home)
     }
 
     // Kill the remaining sharers.
-    invalidateSharers(entry, line, home, peer);
+    invalidateSharers(rec, line, peer);
     entry.sharers.reset(peer);
 
-    const std::uint64_t version = ++_versionCounter[line];
+    const std::uint64_t version = ++rec.latest;
     entry.owner = peer;
     p.setLine(line, MoesiState::Modified, version);
     return version;
@@ -253,16 +265,10 @@ CoherentSystem::evict(std::size_t peer, topology::Addr line)
 void
 CoherentSystem::evict(std::size_t peer, topology::Addr line, std::size_t home)
 {
-    if (peer >= _peers.size())
-        throw std::out_of_range("CoherentSystem::evict: bad peer");
-    if (home >= _directories.size())
-        throw std::out_of_range("CoherentSystem::evict: bad home");
-    _touched.insert(line);
-    _homes.emplace(line, home);
+    LineRecord &rec = recordOf("evict", peer, line, home);
     CachePeer &p = _peers[peer];
     const MoesiState st = p.state(line);
-    Directory &dir = _directories[home];
-    DirectoryEntry &entry = dir.entry(line);
+    DirectoryEntry &entry = rec.dir;
 
     switch (st) {
       case MoesiState::Modified:
@@ -270,7 +276,7 @@ CoherentSystem::evict(std::size_t peer, topology::Addr line, std::size_t home)
         count(CoherenceMsg::PutM);
         count(CoherenceMsg::PutAck);
         emit(CoherenceMsg::PutM, peer, home, line);
-        _memory[line] = p.version(line);
+        rec.memory = p.version(line);
         if (entry.owner && *entry.owner == peer)
             entry.owner.reset();
         break;
@@ -289,13 +295,12 @@ CoherentSystem::evict(std::size_t peer, topology::Addr line, std::size_t home)
         return;
     }
     p.setState(line, MoesiState::Invalid);
-    dir.dropIfUncached(line);
 }
 
 void
 CoherentSystem::checkInvariants() const
 {
-    for (const topology::Addr line : _touched) {
+    for (const auto &[line, rec] : _lines) {
         std::size_t writable = 0;
         std::size_t ownerish = 0;
         std::size_t readable = 0;
@@ -319,7 +324,7 @@ CoherentSystem::checkInvariants() const
             sim::panic("coherence: multiple owners");
 
         // Freshness: every readable copy observes the current version.
-        const std::uint64_t current = currentVersion(line);
+        const std::uint64_t current = currentVersion(line, rec);
         for (const auto &peer : _peers) {
             if (peer.state(line) != MoesiState::Invalid &&
                 peer.version(line) != current) {
@@ -328,14 +333,12 @@ CoherentSystem::checkInvariants() const
         }
 
         // Directory agreement.
-        const Directory &dir = _directories[homeOf(line)];
-        const DirectoryEntry *entry = dir.find(line);
+        const DirectoryEntry &entry = rec.dir;
         for (const auto &peer : _peers) {
             const MoesiState st = peer.state(line);
             const bool owner_here =
-                entry && entry->owner && *entry->owner == peer.id();
-            const bool sharer_here =
-                entry && entry->sharers.test(peer.id());
+                entry.owner && *entry.owner == peer.id();
+            const bool sharer_here = entry.sharers.test(peer.id());
             switch (st) {
               case MoesiState::Modified:
               case MoesiState::Exclusive:

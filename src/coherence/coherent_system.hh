@@ -2,12 +2,14 @@
  * @file
  * Executable MOESI directory-coherence system.
  *
- * 64 cache peers, a directory bank per home cluster, and two invalidation
- * transports: unicast invalidates over the crossbar (one message per
- * sharer) or a single broadcast-bus message reaching every cluster
- * (Section 3.2.2). The system executes transactions atomically (the
- * functional level the paper architected the protocol at) and counts
- * every protocol message, which drives the broadcast-ablation bench.
+ * Up to 64 cache peers and two invalidation transports: unicast
+ * invalidates over the crossbar (one message per sharer) or a single
+ * broadcast-bus message reaching every cluster (Section 3.2.2). Each
+ * line the protocol has seen has one record holding its home, its
+ * memory and latest versions, and its directory entry. The system
+ * executes transactions atomically (the functional level the paper
+ * architected the protocol at) and counts every protocol message,
+ * which drives the broadcast-ablation bench.
  */
 
 #ifndef CORONA_COHERENCE_COHERENT_SYSTEM_HH
@@ -17,7 +19,6 @@
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "coherence/cache_peer.hh"
@@ -27,13 +28,6 @@
 
 namespace corona::coherence {
 
-/** Invalidation transport policy. */
-enum class InvalPolicy
-{
-    Unicast,   ///< One crossbar message per sharer.
-    Broadcast, ///< One broadcast-bus message when sharers >= threshold.
-};
-
 /** System configuration. */
 struct CoherenceConfig
 {
@@ -41,6 +35,18 @@ struct CoherenceConfig
     InvalPolicy policy = InvalPolicy::Broadcast;
     /** Minimum sharer count at which the broadcast bus is preferred. */
     std::size_t broadcast_threshold = 2;
+};
+
+/** Everything the system knows about one line. */
+struct LineRecord
+{
+    /** Peer whose directory bank tracks the line. */
+    std::size_t home = 0;
+    /** Version held by memory (0 = never written back). */
+    std::uint64_t memory = 0;
+    /** Latest version any write produced. */
+    std::uint64_t latest = 0;
+    DirectoryEntry dir;
 };
 
 /** Destination id used for a broadcast (all peers). */
@@ -80,8 +86,8 @@ class CoherentSystem
     /**
      * Explicit-home variants: bank @p line under @p home instead of the
      * internal address map. The home must be a pure function of the
-     * line (the workload's contract) — the bank is remembered and
-     * reused by invariant checking.
+     * line (the workload's contract): the first home a line is seen
+     * with is kept in its record, and a different one later is fatal.
      */
     std::uint64_t read(std::size_t peer, topology::Addr line,
                        std::size_t home);
@@ -91,6 +97,9 @@ class CoherentSystem
 
     /** Current globally visible version of @p line (0 = never written). */
     std::uint64_t memoryVersion(topology::Addr line) const;
+
+    /** Record of @p line; nullptr when the line was never accessed. */
+    const LineRecord *find(topology::Addr line) const;
 
     /** Messages of each type sent so far. */
     std::uint64_t messageCount(CoherenceMsg msg) const;
@@ -112,8 +121,12 @@ class CoherentSystem
 
   private:
     /** Invalidate all sharers of @p line except @p except. */
-    void invalidateSharers(DirectoryEntry &entry, topology::Addr line,
-                           std::size_t home, std::size_t except);
+    void invalidateSharers(LineRecord &rec, topology::Addr line,
+                           std::size_t except);
+
+    /** Record of @p line, created under @p home on first access. */
+    LineRecord &recordOf(const char *op, std::size_t peer,
+                         topology::Addr line, std::size_t home);
 
     void count(CoherenceMsg msg, std::uint64_t n = 1);
 
@@ -124,17 +137,13 @@ class CoherentSystem
     std::size_t homeOf(topology::Addr line) const;
 
     /** Latest committed version (memory or dirty owner). */
-    std::uint64_t currentVersion(topology::Addr line) const;
+    std::uint64_t currentVersion(topology::Addr line,
+                                 const LineRecord &rec) const;
 
     CoherenceConfig _config;
     std::vector<CachePeer> _peers;
-    std::vector<Directory> _directories;
     topology::AddressMap _map;
-    std::unordered_map<topology::Addr, std::uint64_t> _memory;
-    std::unordered_map<topology::Addr, std::uint64_t> _versionCounter;
-    std::unordered_set<topology::Addr> _touched;
-    /** Explicit directory banks (lines routed via the overloads). */
-    std::unordered_map<topology::Addr, std::size_t> _homes;
+    std::unordered_map<topology::Addr, LineRecord> _lines;
     std::array<std::uint64_t, numCoherenceMsgs> _msgCounts{};
     Emitter _emitter;
 };

@@ -1,9 +1,10 @@
 /**
  * @file
- * Coherence directory.
+ * Directory entry of one coherent line.
  *
- * One directory bank per cluster tracks its home lines: the current
- * owner (a cache in M, O, or E) and the sharer set. Corona's 64-cluster
+ * The directory records a line's current owner (a cache in M, O, or E)
+ * and its sharer set. CoherentSystem keeps one entry inside each line's
+ * record, next to the line's home and versions. Corona's 64-cluster
  * scale fits a full bit-vector sharer list.
  */
 
@@ -13,9 +14,6 @@
 #include <bitset>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
-
-#include "topology/address_map.hh"
 
 namespace corona::coherence {
 
@@ -32,37 +30,6 @@ struct DirectoryEntry
     std::optional<std::size_t> owner;
     /** Caches holding the line in S (and the owner when in O). */
     SharerSet sharers;
-
-    bool
-    uncached() const
-    {
-        return !owner && sharers.none();
-    }
-};
-
-/**
- * Directory bank for one home cluster.
- */
-class Directory
-{
-  public:
-    /** Entry for @p line (created on demand as uncached). */
-    DirectoryEntry &entry(topology::Addr line);
-
-    /** Entry lookup without creation. */
-    const DirectoryEntry *find(topology::Addr line) const;
-
-    /** Drop an entry that has become uncached (storage reclaim). */
-    void dropIfUncached(topology::Addr line);
-
-    /** Lines currently tracked. */
-    std::size_t trackedLines() const { return _entries.size(); }
-
-    /** Forget every line (cold directory). */
-    void reset() { _entries.clear(); }
-
-  private:
-    std::unordered_map<topology::Addr, DirectoryEntry> _entries;
 };
 
 } // namespace corona::coherence

@@ -52,4 +52,14 @@ to_string(CoherenceMsg msg)
     return "?";
 }
 
+std::string
+to_string(InvalPolicy policy)
+{
+    switch (policy) {
+      case InvalPolicy::Unicast: return "unicast";
+      case InvalPolicy::Broadcast: return "broadcast";
+    }
+    return "?";
+}
+
 } // namespace corona::coherence

@@ -45,6 +45,13 @@ enum class CoherenceMsg : std::uint8_t
     PutAck,    ///< Writeback acknowledgement.
 };
 
+/** Invalidation transport policy (the `inval_policy` knob). */
+enum class InvalPolicy
+{
+    Unicast,   ///< One crossbar message per sharer.
+    Broadcast, ///< One broadcast-bus message when sharers >= threshold.
+};
+
 /** Number of message types. */
 inline constexpr std::size_t numCoherenceMsgs = 11;
 
@@ -59,6 +66,8 @@ bool isDirty(MoesiState state);
 
 std::string to_string(MoesiState state);
 std::string to_string(CoherenceMsg msg);
+/** The `inval_policy` knob spelling: "unicast" or "broadcast". */
+std::string to_string(InvalPolicy policy);
 
 } // namespace corona::coherence
 

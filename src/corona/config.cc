@@ -35,16 +35,6 @@ to_string(FrontendKind kind)
 }
 
 std::string
-to_string(InvalTransport transport)
-{
-    switch (transport) {
-      case InvalTransport::Unicast: return "unicast";
-      case InvalTransport::Broadcast: return "broadcast";
-    }
-    return "Unknown";
-}
-
-std::string
 SystemConfig::name() const
 {
     if (!label.empty())

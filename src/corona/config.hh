@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "coherence/protocol.hh"
 #include "mesh/electrical_mesh.hh"
 #include "xbar/optical_channel.hh"
 
@@ -43,17 +44,9 @@ enum class FrontendKind
     Coherent,   ///< References filter through L1/L2 + MOESI coherence.
 };
 
-/** Invalidation transport for the coherent front end. */
-enum class InvalTransport
-{
-    Unicast,   ///< One crossbar message per sharer.
-    Broadcast, ///< One broadcast-bus message when sharers >= threshold.
-};
-
 std::string to_string(NetworkKind kind);
 std::string to_string(MemoryKind kind);
 std::string to_string(FrontendKind kind);
-std::string to_string(InvalTransport transport);
 
 /** Full system configuration. */
 struct SystemConfig
@@ -84,7 +77,8 @@ struct SystemConfig
      * traffic into real network messages. */
     FrontendKind frontend = FrontendKind::MissStream;
     /** Per-cluster cache shape (coherent front end only). A 0 KiB
-     * level is absent; 0/0 is the pass-through hierarchy. */
+     * level is absent; with 0/0 no front end is built and references
+     * take the miss-stream path. */
     std::uint32_t l1_kib = 32;
     std::uint32_t l1_assoc = 4;
     std::uint32_t l2_kib = 256;
@@ -93,7 +87,7 @@ struct SystemConfig
     /** Write-through stores (default write-back). */
     bool write_through = false;
     /** Invalidation transport and broadcast-bus threshold (§3.2.2). */
-    InvalTransport inval_transport = InvalTransport::Broadcast;
+    coherence::InvalPolicy inval_policy = coherence::InvalPolicy::Broadcast;
     std::size_t broadcast_threshold = 2;
 
     /** Optional display label. Off-nominal design points set this so

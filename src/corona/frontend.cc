@@ -17,11 +17,13 @@ namespace {
 coherence::CoherenceConfig
 coherenceConfigOf(const SystemConfig &config)
 {
+    if (config.clusters > coherence::maxPeers) {
+        sim::fatal("CoherentFrontEnd: the directory tracks at most " +
+                   std::to_string(coherence::maxPeers) + " clusters");
+    }
     coherence::CoherenceConfig cc;
     cc.peers = config.clusters;
-    cc.policy = config.inval_transport == InvalTransport::Broadcast
-                    ? coherence::InvalPolicy::Broadcast
-                    : coherence::InvalPolicy::Unicast;
+    cc.policy = config.inval_policy;
     cc.broadcast_threshold = config.broadcast_threshold;
     return cc;
 }
@@ -66,14 +68,8 @@ CoherentFrontEnd::CoherentFrontEnd(sim::EventQueue &eq,
                                    CoronaSystem &system,
                                    const SystemConfig &config)
     : _eq(eq), _system(system), _localHop(config.local_hop),
-      _writeThrough(config.write_through),
-      _passThrough(config.l1_kib == 0 && config.l2_kib == 0),
       _coherence(coherenceConfigOf(config))
 {
-    if (config.clusters > coherence::maxPeers) {
-        sim::fatal("CoherentFrontEnd: the directory tracks at most " +
-                   std::to_string(coherence::maxPeers) + " clusters");
-    }
     try {
         const cache::HierarchyConfig hc = hierarchyConfigOf(config);
         _hierarchies.reserve(config.clusters);
@@ -131,10 +127,10 @@ CoherentFrontEnd::decodeLine(std::uint64_t tag)
 topology::ClusterId
 CoherentFrontEnd::homeOf(topology::Addr line) const
 {
-    const auto it = _homes.find(line);
-    if (it == _homes.end())
+    const coherence::LineRecord *rec = _coherence.find(line);
+    if (!rec)
         sim::panic("CoherentFrontEnd: evicting a line never accessed");
-    return it->second;
+    return static_cast<topology::ClusterId>(rec->home);
 }
 
 CoherentFrontEnd::Outcome
@@ -142,26 +138,11 @@ CoherentFrontEnd::access(topology::ClusterId cluster, topology::Addr line,
                          topology::ClusterId home, bool write,
                          Hub::FillFn fill)
 {
-    Hub &hub = _system.hub(cluster);
-    if (_passThrough) {
-        // No retention, no sharing: delegate straight to the hub so
-        // the event stream matches the miss-stream front end exactly.
-        switch (hub.issueMiss(line, home, write, std::move(fill))) {
-          case Hub::Issue::Sent: return Outcome::Sent;
-          case Hub::Issue::Coalesced: return Outcome::Coalesced;
-          case Hub::Issue::MshrFull: return Outcome::MshrFull;
-        }
-        sim::panic("CoherentFrontEnd: bad issue outcome");
-    }
-
     if (line >= maxLine)
         sim::fatal("CoherentFrontEnd: line address exceeds the tag's "
                    "60-bit sideband encoding");
-    const auto [it, inserted] = _homes.try_emplace(line, home);
-    if (!inserted && it->second != home)
-        sim::fatal("CoherentFrontEnd: workload re-homed a line (the "
-                   "home must be a pure function of the address)");
 
+    Hub &hub = _system.hub(cluster);
     cache::ClusterHierarchy &hier = _hierarchies[cluster];
     const coherence::MoesiState st = _coherence.peer(cluster).state(line);
     const bool local_ok =
@@ -252,9 +233,10 @@ CoherentFrontEnd::emitProtocol(coherence::CoherenceMsg msg,
             _bus->broadcast(m);
         } else {
             // Mesh systems have no broadcast bus: fan the pool
-            // invalidation out as unicasts.
+            // invalidation out as unicasts to every cluster the bus
+            // would reach, the home's own copy included.
             for (std::size_t c = 0; c < _hierarchies.size(); ++c) {
-                if (c != from && c != spared) {
+                if (c != spared) {
                     sendSideband(CoherenceMsg::InvalBcast,
                                  static_cast<topology::ClusterId>(from),
                                  static_cast<topology::ClusterId>(c),
@@ -369,7 +351,6 @@ CoherentFrontEnd::reset()
     _coherence.reset();
     if (_bus)
         _bus->reset();
-    _homes.clear();
     _nextId = 1;
     _sidebandMessages = 0;
     _broadcasts = 0;

@@ -10,12 +10,13 @@
  * network traffic — unicast invalidates and owner forwards as
  * header-only crossbar/mesh messages, pool-invalidations as broadcast
  * bus transmissions (Section 3.2.2), and dirty writebacks as sideband
- * WriteReqs nobody waits on.
+ * WriteReqs nobody waits on. On meshes, which have no bus, a pool
+ * invalidation fans out as unicasts to every cluster but the requester.
  *
- * A pass-through hierarchy (l1_kib = l2_kib = 0) retains nothing, so no
- * sharing can arise and every reference is a miss: the front end then
- * delegates each access directly to Hub::issueMiss, reproducing the
- * miss-stream front end bit for bit (the parity gate).
+ * A config with no cache level (l1_kib = l2_kib = 0) retains nothing,
+ * so no sharing can arise and every reference is a miss: CoronaSystem
+ * builds no front end for it, and its references take the miss-stream
+ * path itself (the parity gate).
  */
 
 #ifndef CORONA_CORONA_FRONTEND_HH
@@ -23,7 +24,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/hierarchy.hh"
@@ -73,7 +73,7 @@ class CoherentFrontEnd
     /** Network delivered a sideband coherence message (Invalidate). */
     void deliverSideband(const noc::Message &msg);
 
-    /** Cold hierarchies, cold directory, zeroed counters. */
+    /** Cold hierarchies, cold line records, zeroed counters. */
     void reset();
 
     /** Publish cache/... and coherence/... registry paths. */
@@ -82,9 +82,6 @@ class CoherentFrontEnd
     /** Record coherence-message spans (invalidations, forwards,
      * writebacks, broadcast snoops) into @p tracer; nullptr detaches. */
     void setTracer(obs::EventTracer *tracer) { _tracer = tracer; }
-
-    /** True when no cache level is configured (parity mode). */
-    bool passThrough() const { return _passThrough; }
 
     const cache::ClusterHierarchy &
     hierarchy(std::size_t cluster) const
@@ -129,6 +126,8 @@ class CoherentFrontEnd
     void recordWriteback(topology::ClusterId cluster,
                          topology::ClusterId home);
 
+    /** Home the coherence system recorded for @p line (an evicted
+     * line was always accessed first). */
     topology::ClusterId homeOf(topology::Addr line) const;
 
     static std::uint64_t encodeTag(coherence::CoherenceMsg msg,
@@ -139,15 +138,10 @@ class CoherentFrontEnd
     sim::EventQueue &_eq;
     CoronaSystem &_system;
     sim::Tick _localHop;
-    bool _writeThrough;
-    bool _passThrough;
 
     std::vector<cache::ClusterHierarchy> _hierarchies;
     coherence::CoherentSystem _coherence;
     std::unique_ptr<xbar::BroadcastBus> _bus; ///< XBar systems only.
-    /** Home cluster of every line seen (workload contract: pure
-     * function of the line, so entries never change). */
-    std::unordered_map<topology::Addr, topology::ClusterId> _homes;
 
     obs::EventTracer *_tracer = nullptr; ///< Not owned; may be null.
     noc::MsgId _nextId = 1;

@@ -325,9 +325,9 @@ applyConfigKnob(SystemConfig &config, const std::string &key,
     }
     else if (key == "inval_policy") {
         if (value == "unicast")
-            config.inval_transport = InvalTransport::Unicast;
+            config.inval_policy = coherence::InvalPolicy::Unicast;
         else if (value == "broadcast")
-            config.inval_transport = InvalTransport::Broadcast;
+            config.inval_policy = coherence::InvalPolicy::Broadcast;
         else
             badValue(what, key, value, "unicast or broadcast");
     }
@@ -403,8 +403,8 @@ configKnobExpression(const SystemConfig &config)
     if (config.write_through != defaults.write_through)
         emit("write_policy",
              config.write_through ? "writethrough" : "writeback");
-    if (config.inval_transport != defaults.inval_transport)
-        emit("inval_policy", to_string(config.inval_transport));
+    if (config.inval_policy != defaults.inval_policy)
+        emit("inval_policy", coherence::to_string(config.inval_policy));
     if (config.broadcast_threshold != defaults.broadcast_threshold)
         emit("broadcast_threshold",
              std::to_string(config.broadcast_threshold));

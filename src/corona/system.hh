@@ -109,7 +109,8 @@ class CoronaSystem
     /** Mesh accessor (null for crossbar systems). */
     const mesh::ElectricalMesh *meshNetwork() const { return _mesh; }
 
-    /** Coherent front end (null for miss-stream configurations). */
+    /** Coherent front end (null for miss-stream configurations and
+     * for coherent ones with no cache level). */
     CoherentFrontEnd *frontEnd() { return _frontEnd.get(); }
     const CoherentFrontEnd *frontEnd() const { return _frontEnd.get(); }
 

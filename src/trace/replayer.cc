@@ -191,6 +191,7 @@ replayAxis(const std::string &name,
     ReplayAxis axis;
     axis.label = options.label;
     axis.synthetic = info.synthetic_source;
+    axis.threads = options.threads != 0 ? options.threads : info.threads;
     axis.make = [path, options] {
         return std::unique_ptr<workload::Workload>(
             std::make_unique<workload::TraceReplayer>(path, options));

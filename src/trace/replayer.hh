@@ -132,6 +132,8 @@ struct ReplayAxis
     /** The source's synthetic flag, from the header — a replay axis
      * fingerprints like the axis it was captured from. */
     bool synthetic = false;
+    /** Replay slots: the `threads` knob, else the header's count. */
+    std::size_t threads = 0;
     std::function<std::unique_ptr<workload::Workload>()> make;
 };
 

@@ -228,42 +228,52 @@ validateWorkloadKnobs(const std::string &name,
     resolveKnobs(registryEntry(name), knobs);
 }
 
-std::function<std::unique_ptr<Workload>()>
-registryFactory(const std::string &name,
-                const std::vector<WorkloadKnob> &knobs)
+RegistryAxis
+registryAxis(const std::string &name,
+             const std::vector<WorkloadKnob> &knobs)
 {
     const RegistryEntry &entry = registryEntry(name);
     const ResolvedKnobs resolved = resolveKnobs(entry, knobs);
+    const std::size_t clusters = resolved.clusters;
     if (entry.synthetic) {
         const Pattern pattern = patternOf(entry.name);
         const SyntheticParams params = resolved.synthetic;
-        const std::size_t clusters = resolved.clusters;
-        return [pattern, clusters, params] {
-            return std::unique_ptr<Workload>(
-                std::make_unique<SyntheticWorkload>(
-                    pattern, topology::Geometry(clusters), params));
-        };
+        return {entry.synthetic, clusters * params.threads_per_cluster,
+                [pattern, clusters, params] {
+                    return std::unique_ptr<Workload>(
+                        std::make_unique<SyntheticWorkload>(
+                            pattern, topology::Geometry(clusters),
+                            params));
+                }};
     }
     if (entry.sharing) {
         const SharingPattern pattern = sharingPatternOf(entry.name);
         const SharingParams params = resolved.sharing;
-        const std::size_t clusters = resolved.clusters;
-        return [pattern, clusters, params] {
-            return std::unique_ptr<Workload>(
-                std::make_unique<SharingWorkload>(
-                    pattern, topology::Geometry(clusters), params));
-        };
+        return {entry.synthetic, clusters * params.threads_per_cluster,
+                [pattern, clusters, params] {
+                    return std::unique_ptr<Workload>(
+                        std::make_unique<SharingWorkload>(
+                            pattern, topology::Geometry(clusters),
+                            params));
+                }};
     }
     // Validate the splash name eagerly too (it is registered, so
     // splashParams cannot fail here; the lookup keeps the factory
     // closure small).
     const SplashParams params = splashParams(entry.name);
-    const std::size_t clusters = resolved.clusters;
-    return [params, clusters] {
-        return std::unique_ptr<Workload>(
-            std::make_unique<SplashWorkload>(
-                params, topology::Geometry(clusters)));
-    };
+    return {entry.synthetic, clusters * params.threads_per_cluster,
+            [params, clusters] {
+                return std::unique_ptr<Workload>(
+                    std::make_unique<SplashWorkload>(
+                        params, topology::Geometry(clusters)));
+            }};
+}
+
+std::function<std::unique_ptr<Workload>()>
+registryFactory(const std::string &name,
+                const std::vector<WorkloadKnob> &knobs)
+{
+    return registryAxis(name, knobs).make;
 }
 
 } // namespace corona::workload

@@ -64,6 +64,20 @@ const RegistryEntry &registryEntry(const std::string &name);
 void validateWorkloadKnobs(const std::string &name,
                            const std::vector<WorkloadKnob> &knobs);
 
+/** One resolved registry axis entry; building it builds no workload. */
+struct RegistryAxis
+{
+    bool synthetic = false;
+    /** Threads the generator drives: clusters x threads per cluster. */
+    std::size_t threads = 0;
+    std::function<std::unique_ptr<Workload>()> make;
+};
+
+/** Resolve (name, knobs) into an axis entry; validates and is fatal as
+ * validateWorkloadKnobs. */
+RegistryAxis registryAxis(const std::string &name,
+                          const std::vector<WorkloadKnob> &knobs = {});
+
 /**
  * A factory for the named generator with @p knobs applied. Validates
  * eagerly (fatal as validateWorkloadKnobs); the returned function is

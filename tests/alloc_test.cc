@@ -109,16 +109,16 @@ TEST(Allocations, CoherentBroadcastRunStaysBelowCeiling)
     // Producer-Consumer invalidates whole sharer pools, so with
     // broadcast invalidation (threshold 2) the broadcast bus carries
     // them. The ceiling sits about 10% above what the coherent front
-    // end's caches and directory still allocate (0.204 per event); a
-    // heap-stored broadcast delivery would add over 0.5.
+    // end's caches, peers and line records still allocate (0.131 per
+    // event); a heap-stored broadcast delivery would add over 0.5.
     core::SystemConfig config =
         core::makeConfig(core::NetworkKind::XBar, core::MemoryKind::OCM);
     config.frontend = core::FrontendKind::Coherent;
-    config.inval_transport = core::InvalTransport::Broadcast;
+    config.inval_policy = coherence::InvalPolicy::Broadcast;
     config.broadcast_threshold = 2;
     core::SimContext ctx(config);
     EXPECT_LT(steadyAllocsPerEvent(ctx, workload::makeProducerConsumer),
-              0.225);
+              0.145);
     const core::CoherentFrontEnd *frontend = ctx.system().frontEnd();
     ASSERT_NE(frontend, nullptr);
     std::cout << "  " << frontend->broadcasts() << " broadcasts\n";

@@ -72,9 +72,9 @@ TEST(Cache, InvalidateRemovesLine)
     Cache c;
     c.access(0x4000, true);
     EXPECT_TRUE(c.contains(0x4000));
-    EXPECT_TRUE(c.invalidate(0x4000));
+    EXPECT_TRUE(c.invalidateLine(0x4000).present);
     EXPECT_FALSE(c.contains(0x4000));
-    EXPECT_FALSE(c.invalidate(0x4000));
+    EXPECT_FALSE(c.invalidateLine(0x4000).present);
     // A re-access misses (no stale hit after invalidation).
     EXPECT_FALSE(c.access(0x4000, false).hit);
 }

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "coherence/coherent_system.hh"
+#include "sim/logging.hh"
 #include "sim/rng.hh"
 
 namespace {
@@ -254,6 +255,11 @@ TEST(Coherence, RejectsBadPeers)
     CoherentSystem sys;
     EXPECT_THROW(sys.read(64, kLine), std::out_of_range);
     EXPECT_THROW(sys.write(64, kLine), std::out_of_range);
+    // A home outside the peer range names no directory bank.
+    EXPECT_THROW(sys.read(3, kLine, 64), std::out_of_range);
+    // The first home a line is seen with is its home for good.
+    sys.read(3, kLine, 5);
+    EXPECT_THROW(sys.read(4, kLine, 6), sim::FatalError);
     CoherenceConfig bad;
     bad.peers = 0;
     EXPECT_THROW(CoherentSystem{bad}, std::invalid_argument);

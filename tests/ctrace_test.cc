@@ -481,9 +481,13 @@ TEST(CtraceAxis, ReplayAxisResolvesKnobsAndHeader)
     const auto replayer = axis.make();
     EXPECT_EQ(replayer->name(), "Uniform");
     EXPECT_EQ(replayer->threads(), 8u);
+    EXPECT_EQ(axis.threads, 8u); // Known without building a replayer.
 
-    // Without a label the axis label falls back to the caller.
-    EXPECT_TRUE(trace::replayAxis("trace:" + path, {}).label.empty());
+    // Without a label the axis label falls back to the caller; without
+    // a threads knob the header's count applies.
+    const trace::ReplayAxis plain = trace::replayAxis("trace:" + path, {});
+    EXPECT_TRUE(plain.label.empty());
+    EXPECT_EQ(plain.threads, 2u);
 }
 
 TEST(CtraceAxis, ReplayAxisDiesEagerlyOnBadInput)

@@ -1,12 +1,13 @@
 /**
  * @file
  * Tests for the coherent traffic-injection front end: hierarchy
- * filtering semantics, the pass-through parity gate (a zero-size
- * hierarchy must reproduce the miss-stream front end bit for bit, in
- * metrics and in campaign sink/checkpoint bytes, pooled and fresh, at
- * any worker count), pooled-vs-fresh parity with real caches and
- * sharing traffic, broadcast-vs-unicast invalidation transport, and
- * invalidations racing evictions.
+ * filtering semantics, the pass-through parity gate (a coherent config
+ * with no cache level must reproduce the miss-stream front end bit for
+ * bit, in metrics and in campaign sink/checkpoint bytes, pooled and
+ * fresh, at any worker count), pooled-vs-fresh parity with real caches
+ * and sharing traffic, broadcast-vs-unicast invalidation transport,
+ * invalidations racing evictions, and randomised timed references
+ * checked against the protocol at every drain.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +15,9 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/checkpoint.hh"
@@ -25,6 +28,7 @@
 #include "corona/context.hh"
 #include "corona/frontend.hh"
 #include "corona/simulation.hh"
+#include "sim/rng.hh"
 #include "workload/sharing.hh"
 #include "workload/synthetic.hh"
 
@@ -44,8 +48,9 @@ tinyParams(std::uint64_t requests = 400, std::uint64_t seed = 11)
 }
 
 /** The coherent config whose event stream must equal miss-stream: no
- * cache levels, and the base config's label so campaign axes (CSV
- * config columns, checkpoint fingerprints) match byte for byte. */
+ * cache levels (so no front end is built), and the base config's
+ * label so campaign axes (CSV config columns, checkpoint fingerprints)
+ * match byte for byte. */
 core::SystemConfig
 passThroughConfig(core::NetworkKind network, core::MemoryKind memory)
 {
@@ -60,20 +65,15 @@ passThroughConfig(core::NetworkKind network, core::MemoryKind memory)
 // ---------------------------------------------------------------------
 // ClusterHierarchy semantics.
 
-TEST(Hierarchy, PassThroughMissesEverything)
+TEST(Hierarchy, RejectsAShapeWithNoCacheLevel)
 {
+    // A cache-less coherent config builds no front end (and so no
+    // hierarchy); asking for one anyway is an error, not a hierarchy
+    // that dereferences a missing level.
     cache::HierarchyConfig hc;
     hc.l1_kib = 0;
     hc.l2_kib = 0;
-    cache::ClusterHierarchy hier(hc);
-    EXPECT_TRUE(hier.passThrough());
-    for (int i = 0; i < 3; ++i) {
-        const cache::HierarchyResult r = hier.access(0x1000, true);
-        EXPECT_FALSE(r.hit);
-        EXPECT_TRUE(r.evictions.empty());
-        EXPECT_TRUE(r.writebacks.empty());
-    }
-    EXPECT_FALSE(hier.contains(0x1000));
+    EXPECT_THROW(cache::ClusterHierarchy{hc}, std::invalid_argument);
 }
 
 TEST(Hierarchy, SecondAccessHitsBothLevels)
@@ -312,28 +312,41 @@ TEST(CoherentFrontEnd, PooledRunsAreByteIdenticalToFreshOnes)
     EXPECT_EQ(fresh.jsonl, parallel.jsonl);
 }
 
+TEST(CoherentFrontEnd, ConfigWithNoCacheLevelBuildsNone)
+{
+    core::SimContext ctx(
+        passThroughConfig(core::NetworkKind::XBar, core::MemoryKind::OCM));
+    EXPECT_EQ(ctx.system().frontEnd(), nullptr);
+    // With no directory built, its 64-cluster limit does not apply.
+    core::SystemConfig wide =
+        passThroughConfig(core::NetworkKind::XBar, core::MemoryKind::OCM);
+    wide.clusters = 256;
+    core::SimContext wide_ctx(wide);
+    EXPECT_EQ(wide_ctx.system().frontEnd(), nullptr);
+}
+
 // ---------------------------------------------------------------------
 // Invalidation transport.
 
 core::SystemConfig
-coherentConfig(core::InvalTransport transport)
+coherentConfig(coherence::InvalPolicy policy)
 {
     core::SystemConfig config =
         core::makeConfig(core::NetworkKind::XBar, core::MemoryKind::OCM);
     config.frontend = core::FrontendKind::Coherent;
-    config.inval_transport = transport;
+    config.inval_policy = policy;
     return config;
 }
 
 TEST(CoherentFrontEnd, BroadcastAndUnicastTransportsDiffer)
 {
-    core::SimContext bcast(coherentConfig(core::InvalTransport::Broadcast));
+    core::SimContext bcast(coherentConfig(coherence::InvalPolicy::Broadcast));
     auto w1 = workload::makeFalseSharing();
     core::runExperiment(bcast, *w1, tinyParams(2000, 3));
     const core::CoherentFrontEnd *bus_fe = bcast.system().frontEnd();
     ASSERT_NE(bus_fe, nullptr);
 
-    core::SimContext uni(coherentConfig(core::InvalTransport::Unicast));
+    core::SimContext uni(coherentConfig(coherence::InvalPolicy::Unicast));
     auto w2 = workload::makeFalseSharing();
     core::runExperiment(uni, *w2, tinyParams(2000, 3));
     const core::CoherentFrontEnd *uni_fe = uni.system().frontEnd();
@@ -353,7 +366,7 @@ TEST(CoherentFrontEnd, BroadcastAndUnicastTransportsDiffer)
 
 TEST(CoherentFrontEnd, LateInvalidateAfterEvictionIsCountedNotFatal)
 {
-    core::SimContext ctx(coherentConfig(core::InvalTransport::Unicast));
+    core::SimContext ctx(coherentConfig(coherence::InvalPolicy::Unicast));
     core::CoherentFrontEnd *fe = ctx.system().frontEnd();
     ASSERT_NE(fe, nullptr);
 
@@ -391,5 +404,151 @@ TEST(CoherentFrontEnd, LateInvalidateAfterEvictionIsCountedNotFatal)
     fe->deliverSideband(inval);
     EXPECT_EQ(fe->invalMisses(), 1u);
 }
+
+// ---------------------------------------------------------------------
+// Randomised timed references: seeded reads and writes from many
+// clusters go through CoherentFrontEnd::access while the event queue
+// drains only in part between batches, so invalidations, forwards and
+// writebacks are in flight when later references arrive. Every full
+// drain checks the protocol's invariants and that no hierarchy keeps a
+// line its peer holds Invalid (a missed invalidation).
+
+struct TimedCase
+{
+    core::NetworkKind network;
+    coherence::InvalPolicy policy;
+    bool write_through;
+    std::uint32_t l1_kib;
+    std::uint32_t l2_kib;
+};
+
+std::string
+timedCaseName(const ::testing::TestParamInfo<TimedCase> &info)
+{
+    const TimedCase &c = info.param;
+    return core::to_string(c.network) + "_" +
+           coherence::to_string(c.policy) +
+           (c.write_through ? "_writethrough" : "_writeback") + "_l1_" +
+           std::to_string(c.l1_kib) + "_l2_" + std::to_string(c.l2_kib);
+}
+
+class TimedFrontEndFuzz : public ::testing::TestWithParam<TimedCase>
+{
+};
+
+TEST_P(TimedFrontEndFuzz, ProtocolAndResidencyAgreeAtEveryDrain)
+{
+    const TimedCase &param = GetParam();
+    core::SystemConfig config = core::makeConfig(
+        param.network, param.network == core::NetworkKind::XBar
+                           ? core::MemoryKind::OCM
+                           : core::MemoryKind::ECM);
+    config.frontend = core::FrontendKind::Coherent;
+    config.inval_policy = param.policy;
+    config.write_through = param.write_through;
+    // Tiny caches, so capacity evictions race the invalidations.
+    config.l1_kib = param.l1_kib;
+    config.l1_assoc = 2;
+    config.l2_kib = param.l2_kib;
+    config.l2_assoc = 4;
+    core::SimContext ctx(config);
+    core::CoherentFrontEnd *fe = ctx.system().frontEnd();
+    ASSERT_NE(fe, nullptr);
+
+    // Sixteen active clusters, each with a private pool, share one hot
+    // pool. Every home is an active cluster, so homes often hold
+    // copies of their own lines.
+    constexpr std::size_t kActive = 16;
+    constexpr std::size_t kPrivate = 24;
+    constexpr std::size_t kShared = 16;
+    const auto privateLine = [](std::size_t c, std::size_t k) {
+        return static_cast<topology::Addr>(((c + 1) << 20) + k * 64);
+    };
+    const auto sharedLine = [](std::size_t k) {
+        return static_cast<topology::Addr>((std::uint64_t{1} << 32) +
+                                           k * 64);
+    };
+    const auto homeOf = [](topology::Addr line) {
+        return static_cast<topology::ClusterId>((line / 64 * 7) %
+                                                kActive);
+    };
+
+    std::uint64_t admitted = 0;
+    std::uint64_t fills = 0;
+    const auto checkQuiescent = [&](int batch) {
+        ctx.eq().run();
+        ASSERT_EQ(fills, admitted) << "batch " << batch;
+        const coherence::CoherentSystem &coh = fe->coherence();
+        coh.checkInvariants();
+        std::size_t missed = 0;
+        for (std::size_t c = 0; c < kActive; ++c) {
+            const cache::ClusterHierarchy &hier = fe->hierarchy(c);
+            const auto check = [&](topology::Addr line) {
+                if (hier.contains(line) &&
+                    coh.peer(c).state(line) ==
+                        coherence::MoesiState::Invalid)
+                    ++missed;
+            };
+            for (std::size_t k = 0; k < kPrivate; ++k)
+                check(privateLine(c, k));
+            for (std::size_t k = 0; k < kShared; ++k)
+                check(sharedLine(k));
+        }
+        ASSERT_EQ(missed, 0u)
+            << "resident lines the protocol holds Invalid, batch "
+            << batch;
+    };
+
+    sim::Rng rng(0xC0FFEE);
+    for (int batch = 1; batch <= 48; ++batch) {
+        for (int i = 0; i < 48; ++i) {
+            const std::size_t c = rng.below(kActive);
+            const topology::Addr line =
+                rng.chance(0.5) ? sharedLine(rng.below(kShared))
+                                : privateLine(c, rng.below(kPrivate));
+            const bool write = rng.chance(0.4);
+            const auto outcome =
+                fe->access(static_cast<topology::ClusterId>(c), line,
+                           homeOf(line), write, [&fills] { ++fills; });
+            if (outcome != core::CoherentFrontEnd::Outcome::MshrFull)
+                ++admitted;
+        }
+        // Up to about 20 clock periods: messages stay in flight.
+        ctx.eq().run(ctx.eq().now() + rng.below(4000));
+        if (batch % 8 == 0) {
+            checkQuiescent(batch);
+            if (HasFatalFailure())
+                return;
+        }
+    }
+    EXPECT_GT(fe->coherence().totalMessages(), 0u);
+    EXPECT_GT(fe->invalHits(), 0u);
+}
+
+std::vector<TimedCase>
+timedCases()
+{
+    std::vector<TimedCase> cases;
+    for (const auto network :
+         {core::NetworkKind::XBar, core::NetworkKind::HMesh}) {
+        for (const auto policy : {coherence::InvalPolicy::Unicast,
+                                  coherence::InvalPolicy::Broadcast}) {
+            for (const bool write_through : {false, true}) {
+                // L1 only, L2 only, both levels.
+                for (const auto &[l1, l2] :
+                     {std::pair{1u, 0u}, std::pair{0u, 2u},
+                      std::pair{1u, 2u}}) {
+                    cases.push_back(
+                        {network, policy, write_through, l1, l2});
+                }
+            }
+        }
+    }
+    return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(Random, TimedFrontEndFuzz,
+                         ::testing::ValuesIn(timedCases()),
+                         timedCaseName);
 
 } // namespace

@@ -346,6 +346,23 @@ TEST(Scenario, RejectsUnknownRegistryNamesAndKnobsAtParseTime)
                      "workload = Uniform",
                      "workload = Uniform clusters=65")), // not square
                  sim::FatalError);
+    // FFT drives 64 x 16 threads; a 256-cluster system has 256 x 16.
+    const auto threadScenario = [](const std::string &workload) {
+        return "[scenario]\nname = threads\n[workloads]\nworkload = " +
+               workload + "\n[configs]\nconfig = XBar/OCM clusters=256\n";
+    };
+    try {
+        campaign::parseScenario(threadScenario("FFT"));
+        ADD_FAILURE() << "a thread-count mismatch parsed";
+    } catch (const sim::FatalError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("\"FFT\""), std::string::npos) << what;
+        EXPECT_NE(what.find("\"XBar/OCM clusters=256\""),
+                  std::string::npos)
+            << what;
+    }
+    EXPECT_NO_THROW(
+        campaign::parseScenario(threadScenario("FFT clusters=256")));
 }
 
 TEST(Scenario, RejectsDuplicateAxisEntriesAtParseTime)
