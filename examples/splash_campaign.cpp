@@ -19,6 +19,7 @@
 #include "campaign/aggregate.hh"
 #include "campaign/runner.hh"
 #include "campaign/sink.hh"
+#include "corona/knobs.hh"
 #include "corona/report.hh"
 #include "corona/simulation.hh"
 #include "stats/report.hh"

@@ -4,7 +4,11 @@
 #
 #   1. Every shipped scenarios/*.scenario parses, and its canonical
 #      serialisation (corona-run --print) is a fixed point — printing
-#      the printed form reproduces it byte for byte.
+#      the printed form reproduces it byte for byte. Each one also
+#      resolves (corona-run --dry-run), so a scenario that parses but
+#      can no longer run fails here. trace_demo.scenario replays
+#      traces/demo.ctrace; the step synthesizes it (as
+#      scripts/trace_smoke.sh does) when it is missing.
 #   2. corona-run scenarios/smoke.scenario is deterministic: two runs
 #      write byte-identical CSV/JSONL sinks (via environment override
 #      on one run to prove the override path too).
@@ -28,8 +32,17 @@ DIR="${BUILD}/scenario-smoke"
 rm -rf "${DIR}"
 mkdir -p "${DIR}"
 
-# ---- 1. Shipped scenarios parse; --print is a fixed point.
+# ---- 1. Shipped scenarios parse and resolve; --print is a fixed point.
+if [[ ! -f traces/demo.ctrace ]]; then
+  mkdir -p traces
+  "${BUILD}/corona-trace" synth hotspot traces/demo.ctrace \
+    --threads 1024 --records 64 --hot-fraction 0.9 --seed 7 > /dev/null
+fi
 for f in scenarios/*.scenario; do
+  "${BUILD}/corona-run" --dry-run "${f}" > /dev/null || {
+    echo "scenario smoke: ${f} parses but does not resolve" >&2
+    exit 1
+  }
   "${BUILD}/corona-run" --print "${f}" > "${DIR}/print1.txt"
   "${BUILD}/corona-run" --print "${DIR}/print1.txt" > "${DIR}/print2.txt"
   cmp -s "${DIR}/print1.txt" "${DIR}/print2.txt" || {

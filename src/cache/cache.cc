@@ -28,17 +28,28 @@ l2SimConfig()
     return CacheConfig{256 * 1024, 16, 64};
 }
 
-Cache::Cache(const CacheConfig &config)
-    : _config(config)
+const char *
+geometryError(const CacheConfig &config)
 {
     if (config.capacity_bytes == 0 || config.associativity == 0 ||
         config.line_bytes == 0) {
-        throw std::invalid_argument("Cache: bad geometry");
+        return "Cache: bad geometry";
     }
     const std::uint64_t lines = config.capacity_bytes / config.line_bytes;
+    if (lines == 0)
+        return "Cache: capacity below one line";
     if (lines % config.associativity != 0)
-        throw std::invalid_argument("Cache: capacity/assoc mismatch");
-    _sets = lines / config.associativity;
+        return "Cache: capacity/assoc mismatch";
+    return nullptr;
+}
+
+Cache::Cache(const CacheConfig &config)
+    : _config(config)
+{
+    if (const char *error = geometryError(config))
+        throw std::invalid_argument(error);
+    _sets = config.capacity_bytes / config.line_bytes /
+            config.associativity;
     _data.resize(_sets);
 }
 

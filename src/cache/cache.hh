@@ -31,6 +31,14 @@ struct CacheConfig
     std::uint32_t line_bytes = 64;
 };
 
+/**
+ * Why Cache would refuse @p config, or nullptr when it can be built: a
+ * zero field, a capacity below one line, or a line count the
+ * associativity does not divide. Arithmetic only, so config validation
+ * can run it without building a cache.
+ */
+const char *geometryError(const CacheConfig &config);
+
 /** Table 1 geometries. */
 CacheConfig l1iConfig();
 CacheConfig l1dConfig();
@@ -61,6 +69,7 @@ struct InvalidateResult
 class Cache
 {
   public:
+    /** @throws std::invalid_argument when geometryError() objects. */
     explicit Cache(const CacheConfig &config = {});
 
     /**

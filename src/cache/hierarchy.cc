@@ -4,19 +4,45 @@
 
 namespace corona::cache {
 
+namespace {
+
+CacheConfig
+levelConfig(std::uint32_t kib, std::uint32_t assoc,
+            std::uint32_t line_bytes)
+{
+    return CacheConfig{std::uint64_t{kib} * 1024, assoc, line_bytes};
+}
+
+} // namespace
+
+const char *
+shapeError(const HierarchyConfig &config)
+{
+    if (!config.hasLevel())
+        return "ClusterHierarchy: no cache level";
+    if (config.l1_kib > 0) {
+        if (const char *error = geometryError(levelConfig(
+                config.l1_kib, config.l1_assoc, config.line_bytes)))
+            return error;
+    }
+    if (config.l2_kib > 0) {
+        return geometryError(
+            levelConfig(config.l2_kib, config.l2_assoc, config.line_bytes));
+    }
+    return nullptr;
+}
+
 ClusterHierarchy::ClusterHierarchy(const HierarchyConfig &config)
     : _config(config)
 {
-    if (config.l1_kib == 0 && config.l2_kib == 0)
-        throw std::invalid_argument("ClusterHierarchy: no cache level");
-    if (config.l1_kib > 0) {
-        _l1.emplace(CacheConfig{std::uint64_t{config.l1_kib} * 1024,
-                                config.l1_assoc, config.line_bytes});
-    }
-    if (config.l2_kib > 0) {
-        _l2.emplace(CacheConfig{std::uint64_t{config.l2_kib} * 1024,
-                                config.l2_assoc, config.line_bytes});
-    }
+    if (const char *error = shapeError(config))
+        throw std::invalid_argument(error);
+    if (config.l1_kib > 0)
+        _l1.emplace(levelConfig(config.l1_kib, config.l1_assoc,
+                                config.line_bytes));
+    if (config.l2_kib > 0)
+        _l2.emplace(levelConfig(config.l2_kib, config.l2_assoc,
+                                config.line_bytes));
 }
 
 HierarchyResult

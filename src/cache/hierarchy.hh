@@ -36,7 +36,19 @@ struct HierarchyConfig
     /** Write-through: stores update memory immediately (sideband write
      * traffic) and lines are never dirty; otherwise write-back. */
     bool write_through = false;
+
+    /** True when at least one level is configured. */
+    bool hasLevel() const { return l1_kib > 0 || l2_kib > 0; }
+
+    bool operator==(const HierarchyConfig &) const = default;
 };
+
+/**
+ * Why ClusterHierarchy would refuse @p config, or nullptr when it can
+ * be built: no cache level, or a level whose geometry Cache refuses
+ * (geometryError). Arithmetic only.
+ */
+const char *shapeError(const HierarchyConfig &config);
 
 /** Outcome of filtering one reference through the hierarchy. */
 struct HierarchyResult
@@ -58,7 +70,7 @@ struct HierarchyResult
 class ClusterHierarchy
 {
   public:
-    /** @throws std::invalid_argument for a shape with no cache level. */
+    /** @throws std::invalid_argument when shapeError() objects. */
     explicit ClusterHierarchy(const HierarchyConfig &config = {});
 
     /** Filter one reference; allocates on miss. */

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <ostream>
 
+#include "obs/registry.hh"
 #include "sim/logging.hh"
 
 namespace corona::campaign {
@@ -156,11 +157,11 @@ SummarySink::end()
             for (std::size_t metric = 0; metric < kMetricCount;
                  ++metric) {
                 const MetricSummary &summary = acc.cell.metrics[metric];
-                *_os << ',' << formatShortestDouble(summary.mean) << ','
-                     << formatShortestDouble(summary.stddev) << ','
-                     << formatShortestDouble(summary.ci95) << ','
-                     << formatShortestDouble(summary.min) << ','
-                     << formatShortestDouble(summary.max);
+                *_os << ',' << obs::formatValue(summary.mean) << ','
+                     << obs::formatValue(summary.stddev) << ','
+                     << obs::formatValue(summary.ci95) << ','
+                     << obs::formatValue(summary.min) << ','
+                     << obs::formatValue(summary.max);
             }
             *_os << "\n";
         }

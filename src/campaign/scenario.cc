@@ -264,6 +264,7 @@ ScenarioSpec::resolve() const
                 config.label = canonicalExpression(
                     AxisExpression{config_name, knobs});
             }
+            core::validateConfig(config);
             spec.configs.push_back(std::move(config));
         };
     for (const std::string &text : configs) {

@@ -1,23 +1,13 @@
 #include "campaign/sink.hh"
 
-#include <array>
-#include <charconv>
 #include <cmath>
 #include <ostream>
 #include <string>
 
+#include "obs/registry.hh"
 #include "sim/logging.hh"
 
 namespace corona::campaign {
-
-std::string
-formatShortestDouble(double value)
-{
-    std::array<char, 64> buffer;
-    const auto res = std::to_chars(buffer.data(),
-                                   buffer.data() + buffer.size(), value);
-    return std::string(buffer.data(), res.ptr);
-}
 
 std::optional<std::vector<std::string>>
 splitCsvRow(const std::string &line)
@@ -107,7 +97,7 @@ jsonNumber(double value)
 {
     if (!std::isfinite(value))
         return "null";
-    return formatShortestDouble(value);
+    return obs::formatValue(value);
 }
 
 } // namespace
@@ -159,7 +149,7 @@ metricText(const core::MetricField &field, const core::RunMetrics &m)
 {
     if (field.kind == core::MetricField::Kind::Count)
         return std::to_string(m.*field.count);
-    return formatShortestDouble(m.*field.real);
+    return obs::formatValue(m.*field.real);
 }
 
 } // namespace

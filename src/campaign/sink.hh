@@ -40,11 +40,6 @@ class ResultSink
     virtual void end();
 };
 
-/** Shortest round-trip decimal form (std::to_chars): the double
- * dialect every campaign CSV/JSON artifact shares — the checkpoint
- * reader depends on values surviving a parse exactly. */
-std::string formatShortestDouble(double value);
-
 /** RFC-4180 quoting, shared by every campaign CSV writer. */
 std::string csvEscape(const std::string &cell);
 

@@ -55,9 +55,9 @@ to_string(CoherenceMsg msg)
 std::string
 to_string(InvalPolicy policy)
 {
-    switch (policy) {
-      case InvalPolicy::Unicast: return "unicast";
-      case InvalPolicy::Broadcast: return "broadcast";
+    for (const auto &[value, name] : invalPolicyNames) {
+        if (value == policy)
+            return name;
     }
     return "?";
 }

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 
 namespace corona::coherence {
 
@@ -52,6 +53,13 @@ enum class InvalPolicy
     Broadcast, ///< One broadcast-bus message when sharers >= threshold.
 };
 
+/** Spelling of each InvalPolicy: to_string() and the inval_policy knob
+ * both read this table. */
+inline constexpr std::pair<InvalPolicy, const char *> invalPolicyNames[] = {
+    {InvalPolicy::Unicast, "unicast"},
+    {InvalPolicy::Broadcast, "broadcast"},
+};
+
 /** Number of message types. */
 inline constexpr std::size_t numCoherenceMsgs = 11;
 
@@ -66,7 +74,7 @@ bool isDirty(MoesiState state);
 
 std::string to_string(MoesiState state);
 std::string to_string(CoherenceMsg msg);
-/** The `inval_policy` knob spelling: "unicast" or "broadcast". */
+/** The `inval_policy` knob spelling (invalPolicyNames). */
 std::string to_string(InvalPolicy policy);
 
 } // namespace corona::coherence

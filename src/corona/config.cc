@@ -1,5 +1,8 @@
 #include "corona/config.hh"
 
+#include "coherence/directory.hh"
+#include "sim/logging.hh"
+
 namespace corona::core {
 
 std::string
@@ -27,9 +30,9 @@ to_string(MemoryKind kind)
 std::string
 to_string(FrontendKind kind)
 {
-    switch (kind) {
-      case FrontendKind::MissStream: return "miss-stream";
-      case FrontendKind::Coherent: return "coherent";
+    for (const auto &[value, name] : frontendNames) {
+        if (value == kind)
+            return name;
     }
     return "Unknown";
 }
@@ -62,16 +65,20 @@ makeConfig(NetworkKind network, MemoryKind memory)
     return config;
 }
 
-std::vector<SystemConfig>
-paperConfigs()
+void
+validateConfig(const SystemConfig &config)
 {
-    return {
-        makeConfig(NetworkKind::LMesh, MemoryKind::ECM),
-        makeConfig(NetworkKind::HMesh, MemoryKind::ECM),
-        makeConfig(NetworkKind::LMesh, MemoryKind::OCM),
-        makeConfig(NetworkKind::HMesh, MemoryKind::OCM),
-        makeConfig(NetworkKind::XBar, MemoryKind::OCM),
-    };
+    if (!config.cached())
+        return;
+    const std::string who = "config \"" + config.name() + "\": ";
+    if (config.clusters > coherence::maxPeers) {
+        sim::fatal(who + "the coherence directory tracks at most " +
+                   std::to_string(coherence::maxPeers) +
+                   " clusters, got " + std::to_string(config.clusters) +
+                   " (a coherent config with a cache level)");
+    }
+    if (const char *error = cache::shapeError(config.hierarchy))
+        sim::fatal(who + "bad cache shape: " + error);
 }
 
 } // namespace corona::core

@@ -4,8 +4,11 @@
  *
  * The paper simulates five combinations of on-stack network and memory
  * interconnect: XBar/OCM (Corona), HMesh/OCM, LMesh/OCM, HMesh/ECM, and
- * LMesh/ECM (the normalization baseline). SystemConfig carries all the
- * knobs; paperConfigs() returns the five in the paper's order.
+ * LMesh/ECM (the normalization baseline). SystemConfig carries every
+ * field a run depends on, grouped by subsystem (xbar_channel, mesh,
+ * hierarchy); corona/knobs.hh names the five points and maps each
+ * scenario knob onto one field. Configs compare by value, which is
+ * how SystemPool tells one pooled system from another.
  */
 
 #ifndef CORONA_CORONA_CONFIG_HH
@@ -13,8 +16,9 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
+#include <utility>
 
+#include "cache/hierarchy.hh"
 #include "coherence/protocol.hh"
 #include "mesh/electrical_mesh.hh"
 #include "xbar/optical_channel.hh"
@@ -42,6 +46,13 @@ enum class FrontendKind
 {
     MissStream, ///< Workload records are injected as L2 misses directly.
     Coherent,   ///< References filter through L1/L2 + MOESI coherence.
+};
+
+/** Spelling of each FrontendKind: to_string() and the frontend knob
+ * both read this table. */
+inline constexpr std::pair<FrontendKind, const char *> frontendNames[] = {
+    {FrontendKind::MissStream, "miss-stream"},
+    {FrontendKind::Coherent, "coherent"},
 };
 
 std::string to_string(NetworkKind kind);
@@ -77,15 +88,9 @@ struct SystemConfig
      * traffic into real network messages. */
     FrontendKind frontend = FrontendKind::MissStream;
     /** Per-cluster cache shape (coherent front end only). A 0 KiB
-     * level is absent; with 0/0 no front end is built and references
-     * take the miss-stream path. */
-    std::uint32_t l1_kib = 32;
-    std::uint32_t l1_assoc = 4;
-    std::uint32_t l2_kib = 256;
-    std::uint32_t l2_assoc = 16;
-    std::uint32_t cache_line = 64;
-    /** Write-through stores (default write-back). */
-    bool write_through = false;
+     * level is absent; with no level no front end is built and
+     * references take the miss-stream path. */
+    cache::HierarchyConfig hierarchy;
     /** Invalidation transport and broadcast-bus threshold (§3.2.2). */
     coherence::InvalPolicy inval_policy = coherence::InvalPolicy::Broadcast;
     std::size_t broadcast_threshold = 2;
@@ -99,14 +104,30 @@ struct SystemConfig
     std::string name() const;
 
     std::size_t threads() const { return clusters * threads_per_cluster; }
+
+    /** True when the coherent front end is built: coherent injection
+     * with at least one cache level. */
+    bool
+    cached() const
+    {
+        return frontend == FrontendKind::Coherent && hierarchy.hasLevel();
+    }
+
+    bool operator==(const SystemConfig &) const = default;
 };
 
 /** Build one configuration. */
 SystemConfig makeConfig(NetworkKind network, MemoryKind memory);
 
-/** The five paper configurations, in Figure 8's legend order:
- * LMesh/ECM, HMesh/ECM, LMesh/OCM, HMesh/OCM, XBar/OCM. */
-std::vector<SystemConfig> paperConfigs();
+/**
+ * Fatal, naming the config, when @p config cannot run: a cached
+ * config (see SystemConfig::cached) with more clusters than the
+ * coherence directory tracks (coherence::maxPeers), or with a cache
+ * shape ClusterHierarchy refuses (cache::shapeError). Arithmetic only:
+ * scenario resolution runs it on every config without building a
+ * system, and the coherent front end runs it before building one.
+ */
+void validateConfig(const SystemConfig &config);
 
 } // namespace corona::core
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <string>
 
-#include "corona/knobs.hh"
 #include "sim/logging.hh"
 
 namespace corona::core {
@@ -16,43 +15,14 @@ SimContext::SimContext(const SystemConfig &config, unsigned engine)
     _system = std::make_unique<CoronaSystem>(_eq, config);
 }
 
-namespace {
-
-/**
- * Identity key for a SystemConfig. The knob expression covers every
- * scenario-reachable field (network, memory, clusters, channel
- * parameters, label); the mesh parameters are not knobs, so configs
- * built programmatically with a tweaked MeshParams are distinguished
- * by appending those fields explicitly.
- */
-std::string
-configKey(const SystemConfig &config)
-{
-    std::string key = configKnobExpression(config);
-    key += "|mesh:";
-    key += std::to_string(config.mesh.bisection_bytes_per_second);
-    key += ',';
-    key += std::to_string(config.mesh.hop_latency_clocks);
-    key += ',';
-    key += std::to_string(config.mesh.link_efficiency);
-    key += ',';
-    key += std::to_string(config.mesh.router.input_buffer_depth);
-    key += ',';
-    key += std::to_string(config.mesh.router.link_queue_depth);
-    return key;
-}
-
-} // namespace
-
 SimContext &
 SystemPool::lease(const SystemConfig &config, unsigned engine)
 {
     if (engine != 0)
         sim::fatal("SystemPool: engine " + std::to_string(engine) +
                    " does not exist; 0 is the only engine");
-    const std::string key = configKey(config);
     for (Slot &slot : _slots) {
-        if (slot.key == key) {
+        if (slot.context->config() == config) {
             slot.last_used = ++_clock;
             ++_reuses;
             slot.context->reset();
@@ -72,8 +42,7 @@ SystemPool::lease(const SystemConfig &config, unsigned engine)
         _slots.erase(victim);
     }
     _slots.push_back(
-        Slot{key, std::make_unique<SimContext>(config),
-             ++_clock});
+        Slot{std::make_unique<SimContext>(config), ++_clock});
     return *_slots.back().context;
 }
 

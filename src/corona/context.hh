@@ -14,8 +14,11 @@
  * SystemPool caches contexts per configuration for one worker thread:
  * workers lease a context per cell and the pool resets it on each
  * lease, so a sweep revisiting the same configurations (the common
- * workload-major grid shape) reconstructs nothing. The pool is
- * intentionally not thread-safe — each campaign worker owns one.
+ * workload-major grid shape) reconstructs nothing. A context is reused
+ * only for a config equal to its own field for field (operator==), so
+ * two configs that differ anywhere, knob or not, never share a system.
+ * The pool is intentionally not thread-safe — each campaign worker
+ * owns one.
  */
 
 #ifndef CORONA_CORONA_CONTEXT_HH
@@ -23,7 +26,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "corona/system.hh"
@@ -90,9 +92,9 @@ class SimContext
 };
 
 /**
- * A per-worker cache of SimContexts keyed by configuration, bounded
- * by LRU eviction so a config-heavy grid cannot hold an unbounded
- * number of full systems resident.
+ * A per-worker cache of SimContexts found by configuration value,
+ * bounded by LRU eviction so a config-heavy grid cannot hold an
+ * unbounded number of full systems resident.
  */
 class SystemPool
 {
@@ -126,7 +128,6 @@ class SystemPool
   private:
     struct Slot
     {
-        std::string key;
         std::unique_ptr<SimContext> context;
         std::uint64_t last_used = 0;
     };

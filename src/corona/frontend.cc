@@ -1,7 +1,6 @@
 #include "corona/frontend.hh"
 
 #include <algorithm>
-#include <stdexcept>
 #include <string>
 
 #include "corona/system.hh"
@@ -17,28 +16,13 @@ namespace {
 coherence::CoherenceConfig
 coherenceConfigOf(const SystemConfig &config)
 {
-    if (config.clusters > coherence::maxPeers) {
-        sim::fatal("CoherentFrontEnd: the directory tracks at most " +
-                   std::to_string(coherence::maxPeers) + " clusters");
-    }
+    // The rule scenario resolution already applied to every config.
+    validateConfig(config);
     coherence::CoherenceConfig cc;
     cc.peers = config.clusters;
     cc.policy = config.inval_policy;
     cc.broadcast_threshold = config.broadcast_threshold;
     return cc;
-}
-
-cache::HierarchyConfig
-hierarchyConfigOf(const SystemConfig &config)
-{
-    cache::HierarchyConfig hc;
-    hc.l1_kib = config.l1_kib;
-    hc.l1_assoc = config.l1_assoc;
-    hc.l2_kib = config.l2_kib;
-    hc.l2_assoc = config.l2_assoc;
-    hc.line_bytes = config.cache_line;
-    hc.write_through = config.write_through;
-    return hc;
 }
 
 /** Registry path segment for a protocol message type. */
@@ -70,15 +54,9 @@ CoherentFrontEnd::CoherentFrontEnd(sim::EventQueue &eq,
     : _eq(eq), _system(system), _localHop(config.local_hop),
       _coherence(coherenceConfigOf(config))
 {
-    try {
-        const cache::HierarchyConfig hc = hierarchyConfigOf(config);
-        _hierarchies.reserve(config.clusters);
-        for (std::size_t c = 0; c < config.clusters; ++c)
-            _hierarchies.emplace_back(hc);
-    } catch (const std::invalid_argument &e) {
-        sim::fatal(std::string("CoherentFrontEnd: bad cache shape: ") +
-                   e.what());
-    }
+    _hierarchies.reserve(config.clusters);
+    for (std::size_t c = 0; c < config.clusters; ++c)
+        _hierarchies.emplace_back(config.hierarchy);
 
     if (config.network == NetworkKind::XBar) {
         _bus = std::make_unique<xbar::BroadcastBus>(

@@ -13,10 +13,12 @@
  * WriteReqs nobody waits on. On meshes, which have no bus, a pool
  * invalidation fans out as unicasts to every cluster but the requester.
  *
- * A config with no cache level (l1_kib = l2_kib = 0) retains nothing,
- * so no sharing can arise and every reference is a miss: CoronaSystem
- * builds no front end for it, and its references take the miss-stream
- * path itself (the parity gate).
+ * A config with no cache level (hierarchy.l1_kib = l2_kib = 0)
+ * retains nothing, so no sharing can arise and every reference is a
+ * miss: CoronaSystem builds no front end for it (SystemConfig::cached),
+ * and its references take the miss-stream path itself (the parity
+ * gate). A config it does build from has passed validateConfig, the
+ * check scenario resolution already ran.
  */
 
 #ifndef CORONA_CORONA_FRONTEND_HH

@@ -2,85 +2,136 @@
 
 #include <charconv>
 #include <cmath>
-#include <functional>
-#include <sstream>
+#include <limits>
 
+#include "obs/registry.hh"
 #include "sim/logging.hh"
 
 namespace corona::core {
 
 namespace {
 
-std::string
-knobList(const std::vector<KnobInfo> &knobs)
+/** Apply @p key from @p knobs to @p target; @p what names the table in
+ * diagnostics. */
+template <typename Target>
+void
+applyKnob(std::span<const Knob<Target>> knobs, const char *what,
+          Target &target, const std::string &key, const std::string &value)
 {
+    for (const Knob<Target> &knob : knobs) {
+        if (key != knob.key)
+            continue;
+        const std::string expected = knob.parse(target, value);
+        if (!expected.empty()) {
+            sim::fatal(std::string(what) + ": knob " + key + " expects " +
+                       expected + ", got \"" + value + "\"");
+        }
+        return;
+    }
     std::string names;
-    for (const KnobInfo &knob : knobs) {
+    for (const Knob<Target> &knob : knobs) {
         if (!names.empty())
             names += ", ";
         names += knob.key;
     }
-    return names;
-}
-
-[[noreturn]] void
-badKnob(const char *what, const std::string &key,
-        const std::vector<KnobInfo> &knobs)
-{
     sim::fatal(std::string(what) + ": unknown knob \"" + key +
-               "\" (valid knobs: " + knobList(knobs) + ")");
+               "\" (valid knobs: " + names + ")");
 }
 
-[[noreturn]] void
-badValue(const char *what, const std::string &key,
-         const std::string &value, const char *expected)
-{
-    sim::fatal(std::string(what) + ": knob " + key + " expects " +
-               expected + ", got \"" + value + "\"");
-}
-
-std::uint64_t
-knobUnsigned(const char *what, const std::string &key,
-             const std::string &value)
-{
-    const auto parsed = parseUnsigned(value);
-    if (!parsed)
-        badValue(what, key, value, "an unsigned decimal integer");
-    return *parsed;
-}
-
-std::uint64_t
-knobPositive(const char *what, const std::string &key,
-             const std::string &value)
-{
-    const auto parsed = parsePositiveCount(value);
-    if (!parsed)
-        badValue(what, key, value,
-                 "a strictly positive decimal integer");
-    return *parsed;
-}
-
-double
-knobPositiveDouble(const char *what, const std::string &key,
-                   const std::string &value)
-{
-    const auto parsed = parseStrictDouble(value);
-    if (!parsed || *parsed <= 0.0)
-        badValue(what, key, value, "a positive number");
-    return *parsed;
-}
-
-/** Shortest round-trip decimal form (mirrors the campaign sinks'
- * formatShortestDouble; duplicated here so core stays below
- * campaign in the include order). */
+/** A decimal integer no smaller than @p min that fits @p field. */
+template <typename T>
 std::string
-shortestDouble(double value)
+parseInteger(T &field, const std::string &text, std::uint64_t min)
 {
-    char buffer[64];
-    const auto res = std::to_chars(buffer, buffer + sizeof(buffer),
-                                   value);
-    return std::string(buffer, res.ptr);
+    const auto parsed = parseUnsigned(text);
+    if (!parsed || *parsed < min) {
+        return min == 0 ? "an unsigned decimal integer"
+                        : "a strictly positive decimal integer";
+    }
+    if (*parsed > std::numeric_limits<T>::max()) {
+        return "an integer of at most " +
+               std::to_string(std::numeric_limits<T>::max());
+    }
+    field = static_cast<T>(*parsed);
+    return {};
 }
+
+template <typename T>
+std::string
+parseCount(T &field, const std::string &text)
+{
+    return parseInteger(field, text, 0);
+}
+
+template <typename T>
+std::string
+parsePositive(T &field, const std::string &text)
+{
+    return parseInteger(field, text, 1);
+}
+
+std::string
+parseClusters(std::size_t &field, const std::string &text)
+{
+    std::size_t clusters = 0;
+    if (std::string expected = parsePositive(clusters, text);
+        !expected.empty())
+        return expected;
+    // topology::Geometry requires a square grid; reject here so a bad
+    // scenario dies at resolve time, not on a worker thread.
+    const auto radix = static_cast<std::size_t>(
+        std::lround(std::sqrt(static_cast<double>(clusters))));
+    if (radix * radix != clusters)
+        return "a perfect-square cluster count";
+    field = clusters;
+    return {};
+}
+
+std::string
+parsePositiveDouble(double &field, const std::string &text)
+{
+    const auto parsed = parseStrictDouble(text);
+    if (!parsed || *parsed <= 0.0)
+        return "a positive number";
+    field = *parsed;
+    return {};
+}
+
+/** One of the spellings in @p names ("a or b" on failure). */
+template <typename T, std::size_t N>
+std::string
+parseName(T &field, const std::string &text,
+          const std::pair<T, const char *> (&names)[N])
+{
+    std::string expected;
+    for (const auto &[value, name] : names) {
+        if (text == name) {
+            field = value;
+            return {};
+        }
+        if (!expected.empty())
+            expected += " or ";
+        expected += name;
+    }
+    return expected;
+}
+
+template <typename T, std::size_t N>
+std::string
+formatName(T field, const std::pair<T, const char *> (&names)[N])
+{
+    for (const auto &[value, name] : names) {
+        if (value == field)
+            return name;
+    }
+    return "?";
+}
+
+/** HierarchyConfig::write_through spellings (the write_policy knob). */
+constexpr std::pair<bool, const char *> writePolicyNames[] = {
+    {false, "writeback"},
+    {true, "writethrough"},
+};
 
 } // namespace
 
@@ -128,31 +179,33 @@ parseOnOff(std::string_view text)
 
 // ------------------------------------------------------- SimParams
 
-const std::vector<KnobInfo> &
+namespace {
+
+constexpr Knob<SimParams> simParamsKnobTable[] = {
+    {"requests", "primary misses to simulate (positive)",
+     [](auto &p, auto &v) { return parsePositive(p.requests, v); },
+     [](auto &p) { return std::to_string(p.requests); }},
+    {"warmup_requests", "primary misses issued before measurement starts",
+     [](auto &p, auto &v) { return parseCount(p.warmup_requests, v); },
+     [](auto &p) { return std::to_string(p.warmup_requests); }},
+    {"seed", "base RNG seed",
+     [](auto &p, auto &v) { return parseCount(p.seed, v); },
+     [](auto &p) { return std::to_string(p.seed); }},
+};
+
+} // namespace
+
+std::span<const Knob<SimParams>>
 simParamsKnobs()
 {
-    static const std::vector<KnobInfo> knobs = {
-        {"requests", "primary misses to simulate (positive)"},
-        {"warmup_requests",
-         "primary misses issued before measurement starts"},
-        {"seed", "base RNG seed"},
-    };
-    return knobs;
+    return simParamsKnobTable;
 }
 
 void
 applySimParamsKnob(SimParams &params, const std::string &key,
                    const std::string &value)
 {
-    constexpr const char *what = "SimParams override";
-    if (key == "requests")
-        params.requests = knobPositive(what, key, value);
-    else if (key == "warmup_requests")
-        params.warmup_requests = knobUnsigned(what, key, value);
-    else if (key == "seed")
-        params.seed = knobUnsigned(what, key, value);
-    else
-        badKnob(what, key, simParamsKnobs());
+    applyKnob(simParamsKnobs(), "SimParams override", params, key, value);
 }
 
 // ---------------------------------------------- SystemConfig registry
@@ -219,205 +272,155 @@ namedConfig(const std::string &name)
                "; \"paper\" expands to the five paper points)");
 }
 
-const std::vector<KnobInfo> &
+std::vector<SystemConfig>
+paperConfigs()
+{
+    std::vector<SystemConfig> configs;
+    for (const std::string &name : paperConfigNames())
+        configs.push_back(namedConfig(name));
+    return configs;
+}
+
+namespace {
+
+std::string
+baseName(const SystemConfig &config)
+{
+    return to_string(config.network) + "/" + to_string(config.memory);
+}
+
+constexpr Knob<SystemConfig> configKnobTable[] = {
+    {"clusters", "cluster count (perfect square)",
+     [](auto &c, auto &v) { return parseClusters(c.clusters, v); },
+     [](auto &c) { return std::to_string(c.clusters); }},
+    {"threads_per_cluster", "hardware threads per cluster",
+     [](auto &c, auto &v) { return parsePositive(c.threads_per_cluster, v); },
+     [](auto &c) { return std::to_string(c.threads_per_cluster); }},
+    {"mshrs_per_cluster", "per-cluster MSHR file capacity",
+     [](auto &c, auto &v) { return parsePositive(c.mshrs_per_cluster, v); },
+     [](auto &c) { return std::to_string(c.mshrs_per_cluster); }},
+    {"thread_window", "per-thread outstanding-miss window",
+     [](auto &c, auto &v) { return parsePositive(c.thread_window, v); },
+     [](auto &c) { return std::to_string(c.thread_window); }},
+    {"local_hop", "hub traversal latency for local accesses, ticks",
+     [](auto &c, auto &v) { return parseCount(c.local_hop, v); },
+     [](auto &c) { return std::to_string(c.local_hop); }},
+    {"memory_bandwidth_scale",
+     "multiplier on every controller's off-stack bandwidth",
+     [](auto &c, auto &v) {
+         return parsePositiveDouble(c.memory_bandwidth_scale, v);
+     },
+     [](auto &c) { return obs::formatValue(c.memory_bandwidth_scale); }},
+    {"bytes_per_clock", "crossbar channel bytes per clock",
+     [](auto &c, auto &v) {
+         return parsePositive(c.xbar_channel.bytes_per_clock, v);
+     },
+     [](auto &c) { return std::to_string(c.xbar_channel.bytes_per_clock); }},
+    {"sink_buffer_depth", "crossbar home input buffer, messages",
+     [](auto &c, auto &v) {
+         return parsePositive(c.xbar_channel.sink_buffer_depth, v);
+     },
+     [](auto &c) {
+         return std::to_string(c.xbar_channel.sink_buffer_depth);
+     }},
+    {"loop_clocks", "crossbar serpentine loop time, clocks",
+     [](auto &c, auto &v) {
+         return parseCount(c.xbar_channel.loop_clocks, v);
+     },
+     [](auto &c) { return std::to_string(c.xbar_channel.loop_clocks); }},
+    {"max_batch", "messages modulated per token grant",
+     [](auto &c, auto &v) {
+         return parsePositive(c.xbar_channel.max_batch, v);
+     },
+     [](auto &c) { return std::to_string(c.xbar_channel.max_batch); }},
+    {"token_node_pause",
+     "extra per-cluster token dwell, ticks (0 = flying token)",
+     [](auto &c, auto &v) {
+         return parseCount(c.xbar_channel.token_node_pause, v);
+     },
+     [](auto &c) {
+         return std::to_string(c.xbar_channel.token_node_pause);
+     }},
+    {"frontend", "injection front end: miss-stream | coherent",
+     [](auto &c, auto &v) { return parseName(c.frontend, v, frontendNames); },
+     [](auto &c) { return formatName(c.frontend, frontendNames); }},
+    {"l1_kib", "per-cluster L1 capacity, KiB (0 = no L1)",
+     [](auto &c, auto &v) { return parseCount(c.hierarchy.l1_kib, v); },
+     [](auto &c) { return std::to_string(c.hierarchy.l1_kib); }},
+    {"l1_assoc", "L1 associativity",
+     [](auto &c, auto &v) { return parsePositive(c.hierarchy.l1_assoc, v); },
+     [](auto &c) { return std::to_string(c.hierarchy.l1_assoc); }},
+    {"l2_kib", "per-cluster L2 capacity, KiB (0 = no L2)",
+     [](auto &c, auto &v) { return parseCount(c.hierarchy.l2_kib, v); },
+     [](auto &c) { return std::to_string(c.hierarchy.l2_kib); }},
+    {"l2_assoc", "L2 associativity",
+     [](auto &c, auto &v) { return parsePositive(c.hierarchy.l2_assoc, v); },
+     [](auto &c) { return std::to_string(c.hierarchy.l2_assoc); }},
+    {"cache_line", "cache line size, bytes",
+     [](auto &c, auto &v) {
+         return parsePositive(c.hierarchy.line_bytes, v);
+     },
+     [](auto &c) { return std::to_string(c.hierarchy.line_bytes); }},
+    {"write_policy", "store policy: writeback | writethrough",
+     [](auto &c, auto &v) {
+         return parseName(c.hierarchy.write_through, v, writePolicyNames);
+     },
+     [](auto &c) {
+         return formatName(c.hierarchy.write_through, writePolicyNames);
+     }},
+    {"inval_policy", "invalidation transport: unicast | broadcast",
+     [](auto &c, auto &v) {
+         return parseName(c.inval_policy, v, coherence::invalPolicyNames);
+     },
+     [](auto &c) {
+         return formatName(c.inval_policy, coherence::invalPolicyNames);
+     }},
+    {"broadcast_threshold",
+     "minimum sharer count that prefers the broadcast bus",
+     [](auto &c, auto &v) { return parseCount(c.broadcast_threshold, v); },
+     [](auto &c) { return std::to_string(c.broadcast_threshold); }},
+    {"label", "display label / campaign axis name",
+     [](auto &c, auto &v) {
+         c.label = v;
+         return std::string();
+     },
+     // An unset label and "Net/Mem" name the same point.
+     [](auto &c) -> std::string {
+         if (c.label.empty() || c.label == baseName(c))
+             return {};
+         if (c.label.find(' ') != std::string::npos)
+             return '"' + c.label + '"';
+         return c.label;
+     }},
+};
+
+} // namespace
+
+std::span<const Knob<SystemConfig>>
 configKnobs()
 {
-    static const std::vector<KnobInfo> knobs = {
-        {"clusters", "cluster count (perfect square)"},
-        {"threads_per_cluster", "hardware threads per cluster"},
-        {"mshrs_per_cluster", "per-cluster MSHR file capacity"},
-        {"thread_window", "per-thread outstanding-miss window"},
-        {"local_hop", "hub traversal latency for local accesses, ticks"},
-        {"memory_bandwidth_scale",
-         "multiplier on every controller's off-stack bandwidth"},
-        {"bytes_per_clock", "crossbar channel bytes per clock"},
-        {"sink_buffer_depth", "crossbar home input buffer, messages"},
-        {"loop_clocks", "crossbar serpentine loop time, clocks"},
-        {"max_batch", "messages modulated per token grant"},
-        {"token_node_pause",
-         "extra per-cluster token dwell, ticks (0 = flying token)"},
-        {"frontend", "injection front end: miss-stream | coherent"},
-        {"l1_kib", "per-cluster L1 capacity, KiB (0 = no L1)"},
-        {"l1_assoc", "L1 associativity"},
-        {"l2_kib", "per-cluster L2 capacity, KiB (0 = no L2)"},
-        {"l2_assoc", "L2 associativity"},
-        {"cache_line", "cache line size, bytes"},
-        {"write_policy", "store policy: writeback | writethrough"},
-        {"inval_policy", "invalidation transport: unicast | broadcast"},
-        {"broadcast_threshold",
-         "minimum sharer count that prefers the broadcast bus"},
-        {"label", "display label / campaign axis name"},
-    };
-    return knobs;
+    return configKnobTable;
 }
 
 void
 applyConfigKnob(SystemConfig &config, const std::string &key,
                 const std::string &value)
 {
-    constexpr const char *what = "config knob";
-    if (key == "clusters") {
-        const std::uint64_t clusters = knobPositive(what, key, value);
-        // topology::Geometry requires a square grid; reject here so a
-        // bad scenario dies at resolve time, not on a worker thread.
-        const auto radix = static_cast<std::uint64_t>(
-            std::lround(std::sqrt(static_cast<double>(clusters))));
-        if (radix * radix != clusters)
-            badValue(what, key, value,
-                     "a perfect-square cluster count");
-        config.clusters = clusters;
-    }
-    else if (key == "threads_per_cluster")
-        config.threads_per_cluster = knobPositive(what, key, value);
-    else if (key == "mshrs_per_cluster")
-        config.mshrs_per_cluster = knobPositive(what, key, value);
-    else if (key == "thread_window")
-        config.thread_window = knobPositive(what, key, value);
-    else if (key == "local_hop")
-        config.local_hop = knobUnsigned(what, key, value);
-    else if (key == "memory_bandwidth_scale")
-        config.memory_bandwidth_scale =
-            knobPositiveDouble(what, key, value);
-    else if (key == "bytes_per_clock")
-        config.xbar_channel.bytes_per_clock =
-            static_cast<std::uint32_t>(knobPositive(what, key, value));
-    else if (key == "sink_buffer_depth")
-        config.xbar_channel.sink_buffer_depth =
-            knobPositive(what, key, value);
-    else if (key == "loop_clocks")
-        config.xbar_channel.loop_clocks =
-            knobUnsigned(what, key, value);
-    else if (key == "max_batch")
-        config.xbar_channel.max_batch = knobPositive(what, key, value);
-    else if (key == "token_node_pause")
-        config.xbar_channel.token_node_pause =
-            knobUnsigned(what, key, value);
-    else if (key == "frontend") {
-        if (value == "miss-stream")
-            config.frontend = FrontendKind::MissStream;
-        else if (value == "coherent")
-            config.frontend = FrontendKind::Coherent;
-        else
-            badValue(what, key, value, "miss-stream or coherent");
-    }
-    else if (key == "l1_kib")
-        config.l1_kib =
-            static_cast<std::uint32_t>(knobUnsigned(what, key, value));
-    else if (key == "l1_assoc")
-        config.l1_assoc =
-            static_cast<std::uint32_t>(knobPositive(what, key, value));
-    else if (key == "l2_kib")
-        config.l2_kib =
-            static_cast<std::uint32_t>(knobUnsigned(what, key, value));
-    else if (key == "l2_assoc")
-        config.l2_assoc =
-            static_cast<std::uint32_t>(knobPositive(what, key, value));
-    else if (key == "cache_line")
-        config.cache_line =
-            static_cast<std::uint32_t>(knobPositive(what, key, value));
-    else if (key == "write_policy") {
-        if (value == "writeback")
-            config.write_through = false;
-        else if (value == "writethrough")
-            config.write_through = true;
-        else
-            badValue(what, key, value, "writeback or writethrough");
-    }
-    else if (key == "inval_policy") {
-        if (value == "unicast")
-            config.inval_policy = coherence::InvalPolicy::Unicast;
-        else if (value == "broadcast")
-            config.inval_policy = coherence::InvalPolicy::Broadcast;
-        else
-            badValue(what, key, value, "unicast or broadcast");
-    }
-    else if (key == "broadcast_threshold")
-        config.broadcast_threshold = knobUnsigned(what, key, value);
-    else if (key == "label")
-        config.label = value;
-    else
-        badKnob(what, key, configKnobs());
+    applyKnob(configKnobs(), "config knob", config, key, value);
 }
 
 std::string
 configKnobExpression(const SystemConfig &config)
 {
-    const std::string base =
-        to_string(config.network) + "/" + to_string(config.memory);
     const SystemConfig defaults =
         makeConfig(config.network, config.memory);
-
-    std::ostringstream os;
-    os << base;
-    const auto emit = [&os](const char *key, const std::string &value) {
-        os << " " << key << "=" << value;
-    };
-    if (config.clusters != defaults.clusters)
-        emit("clusters", std::to_string(config.clusters));
-    if (config.threads_per_cluster != defaults.threads_per_cluster)
-        emit("threads_per_cluster",
-             std::to_string(config.threads_per_cluster));
-    if (config.mshrs_per_cluster != defaults.mshrs_per_cluster)
-        emit("mshrs_per_cluster",
-             std::to_string(config.mshrs_per_cluster));
-    if (config.thread_window != defaults.thread_window)
-        emit("thread_window", std::to_string(config.thread_window));
-    if (config.local_hop != defaults.local_hop)
-        emit("local_hop", std::to_string(config.local_hop));
-    if (config.memory_bandwidth_scale !=
-        defaults.memory_bandwidth_scale)
-        emit("memory_bandwidth_scale",
-             shortestDouble(config.memory_bandwidth_scale));
-    if (config.xbar_channel.bytes_per_clock !=
-        defaults.xbar_channel.bytes_per_clock)
-        emit("bytes_per_clock",
-             std::to_string(config.xbar_channel.bytes_per_clock));
-    if (config.xbar_channel.sink_buffer_depth !=
-        defaults.xbar_channel.sink_buffer_depth)
-        emit("sink_buffer_depth",
-             std::to_string(config.xbar_channel.sink_buffer_depth));
-    if (config.xbar_channel.loop_clocks !=
-        defaults.xbar_channel.loop_clocks)
-        emit("loop_clocks",
-             std::to_string(config.xbar_channel.loop_clocks));
-    if (config.xbar_channel.max_batch !=
-        defaults.xbar_channel.max_batch)
-        emit("max_batch",
-             std::to_string(config.xbar_channel.max_batch));
-    if (config.xbar_channel.token_node_pause !=
-        defaults.xbar_channel.token_node_pause)
-        emit("token_node_pause",
-             std::to_string(config.xbar_channel.token_node_pause));
-    if (config.frontend != defaults.frontend)
-        emit("frontend", to_string(config.frontend));
-    if (config.l1_kib != defaults.l1_kib)
-        emit("l1_kib", std::to_string(config.l1_kib));
-    if (config.l1_assoc != defaults.l1_assoc)
-        emit("l1_assoc", std::to_string(config.l1_assoc));
-    if (config.l2_kib != defaults.l2_kib)
-        emit("l2_kib", std::to_string(config.l2_kib));
-    if (config.l2_assoc != defaults.l2_assoc)
-        emit("l2_assoc", std::to_string(config.l2_assoc));
-    if (config.cache_line != defaults.cache_line)
-        emit("cache_line", std::to_string(config.cache_line));
-    if (config.write_through != defaults.write_through)
-        emit("write_policy",
-             config.write_through ? "writethrough" : "writeback");
-    if (config.inval_policy != defaults.inval_policy)
-        emit("inval_policy", coherence::to_string(config.inval_policy));
-    if (config.broadcast_threshold != defaults.broadcast_threshold)
-        emit("broadcast_threshold",
-             std::to_string(config.broadcast_threshold));
-    if (!config.label.empty() && config.label != base) {
-        const bool quote =
-            config.label.find(' ') != std::string::npos;
-        os << " label=";
-        if (quote)
-            os << '"' << config.label << '"';
-        else
-            os << config.label;
+    std::string expression = baseName(config);
+    for (const Knob<SystemConfig> &knob : configKnobs()) {
+        const std::string value = knob.format(config);
+        if (value != knob.format(defaults))
+            expression += std::string(" ") + knob.key + "=" + value;
     }
-    return os.str();
+    return expression;
 }
 
 } // namespace corona::core

@@ -5,21 +5,23 @@
  *
  * Scenario files describe experiments as text, so every tunable the
  * engine exposes must be reachable by (name, value) pairs instead of
- * C++ closures. This header is the single source of truth for those
- * names: the named-configuration registry ("XBar/OCM", "paper", ...),
- * the SystemConfig knob table (clusters, memory_bandwidth_scale,
- * token_node_pause, ...), and the SimParams knob table (requests,
- * warmup_requests, seed). Appliers are strict — an unknown knob or a
- * malformed value is fatal, never silently ignored — and
- * configKnobExpression() inverts the table so any knobbed config can
- * be serialised back to a text expression that resolves to the same
- * configuration.
+ * C++ closures. This header declares those names once: the
+ * named-configuration registry ("XBar/OCM", "paper", ...), one Knob
+ * row per SystemConfig knob (clusters, memory_bandwidth_scale,
+ * token_node_pause, ...) and one per SimParams knob (requests,
+ * warmup_requests, seed). A row holds the key, a one-line help text
+ * for readers of the table, a parser into its field and a formatter
+ * out of it. Applying a knob, listing the valid keys and serialising a
+ * config back to text (configKnobExpression) all loop over the rows.
+ * Appliers are strict — an unknown knob or a malformed value is fatal,
+ * never silently ignored.
  */
 
 #ifndef CORONA_CORONA_KNOBS_HH
 #define CORONA_CORONA_KNOBS_HH
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -38,17 +40,24 @@ std::optional<double> parseStrictDouble(std::string_view text);
 /** Strict boolean: on/off, true/false, 1/0. */
 std::optional<bool> parseOnOff(std::string_view text);
 
-/** One documented knob (for --help texts and the README schema). */
-struct KnobInfo
+/** One knob of @p Target, declared once. */
+template <typename Target>
+struct Knob
 {
-    std::string key;
-    std::string help;
+    const char *key;
+    const char *help;
+    /** Parse @p value into the knob's field: empty on success, else
+     * what the value should have been ("a positive number"); a
+     * rejected value leaves the field as it was. */
+    std::string (*parse)(Target &target, const std::string &value);
+    /** The field as expression text. */
+    std::string (*format)(const Target &target);
 };
 
 // ------------------------------------------------------- SimParams
 
 /** The SimParams knobs scenario overrides may set. */
-const std::vector<KnobInfo> &simParamsKnobs();
+std::span<const Knob<SimParams>> simParamsKnobs();
 
 /** Apply one knob; fatal on an unknown key or malformed value. */
 void applySimParamsKnob(SimParams &params, const std::string &key,
@@ -71,8 +80,12 @@ const std::vector<std::string> &configNames();
  */
 SystemConfig namedConfig(const std::string &name);
 
+/** The five paper configurations, namedConfig() over
+ * paperConfigNames(). */
+std::vector<SystemConfig> paperConfigs();
+
 /** The SystemConfig knobs config expressions may set. */
-const std::vector<KnobInfo> &configKnobs();
+std::span<const Knob<SystemConfig>> configKnobs();
 
 /** Apply one knob; fatal on an unknown key or malformed value. */
 void applyConfigKnob(SystemConfig &config, const std::string &key,
@@ -80,9 +93,10 @@ void applyConfigKnob(SystemConfig &config, const std::string &key,
 
 /**
  * Serialise @p config as a resolvable text expression:
- * "Net/Mem knob=value ..." listing exactly the knobs that differ from
- * makeConfig(network, memory) defaults, label last (quoted when it
- * contains spaces). Resolving the expression reproduces every
+ * "Net/Mem knob=value ..." listing, in table order, exactly the knobs
+ * whose formatted value differs from the formatted makeConfig(network,
+ * memory) default; label last (quoted when it contains spaces, omitted
+ * when it equals "Net/Mem"). Resolving the expression reproduces every
  * knob-covered field, so tools can ship a programmatically built
  * config (e.g. a design-space point) to a worker as text.
  */

@@ -58,10 +58,8 @@ CoronaSystem::CoronaSystem(sim::EventQueue &eq, const SystemConfig &config)
 
     // A config with no cache level retains nothing, so its references
     // take the miss-stream path unchanged.
-    if (config.frontend == FrontendKind::Coherent &&
-        (config.l1_kib > 0 || config.l2_kib > 0)) {
+    if (config.cached())
         _frontEnd = std::make_unique<CoherentFrontEnd>(eq, *this, config);
-    }
 
     _network->setDeliver(
         [this](const noc::Message &msg) { dispatch(msg); });

@@ -35,6 +35,8 @@ struct RouterParams
     std::size_t input_buffer_depth = 8;
     /** Depth of each output link's injection queue, messages. */
     std::size_t link_queue_depth = 4;
+
+    bool operator==(const RouterParams &) const = default;
 };
 
 /**

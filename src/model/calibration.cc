@@ -8,6 +8,7 @@
 #include "campaign/checkpoint.hh"
 #include "campaign/runner.hh"
 #include "campaign/sink.hh"
+#include "obs/registry.hh"
 #include "sim/logging.hh"
 
 namespace corona::model {
@@ -144,8 +145,8 @@ Calibration::save(std::ostream &os) const
         const auto sep = key.find('|');
         os << campaign::csvEscape(key.substr(0, sep)) << ","
            << campaign::csvEscape(key.substr(sep + 1)) << ","
-           << campaign::formatShortestDouble(f.bandwidth_scale) << ","
-           << campaign::formatShortestDouble(f.latency_scale) << ","
+           << obs::formatValue(f.bandwidth_scale) << ","
+           << obs::formatValue(f.latency_scale) << ","
            << f.samples << "\n";
     }
 }

@@ -40,9 +40,12 @@ namespace corona::obs {
 
 /**
  * Render @p value with the shortest round-trippable decimal form
- * (std::to_chars): deterministic bytes for snapshots and time series,
- * and integral values ("1234", not "1234.000000") for the common
- * counter case.
+ * (std::to_chars; nan/inf spelled out): deterministic bytes for
+ * snapshots and time series, and integral values ("1234", not
+ * "1234.000000") for the common counter case. The one double dialect
+ * of the repo: campaign CSV/JSONL sinks, checkpoints (whose reader
+ * depends on values surviving a parse exactly) and config knob
+ * expressions all print doubles through it.
  */
 std::string formatValue(double value);
 

@@ -121,6 +121,11 @@ TEST(Cache, RejectsBadGeometry)
     EXPECT_THROW(Cache(CacheConfig{1024, 0, 64}), std::invalid_argument);
     // 1024 B / 64 B = 16 lines; 5 ways does not divide.
     EXPECT_THROW(Cache(CacheConfig{1024, 5, 64}), std::invalid_argument);
+    // 32 B holds no 64 B line: zero sets would divide by zero.
+    EXPECT_THROW(Cache(CacheConfig{32, 1, 64}), std::invalid_argument);
+    // The same rule, without building a cache.
+    EXPECT_EQ(geometryError(CacheConfig{1024, 4, 64}), nullptr);
+    EXPECT_NE(geometryError(CacheConfig{1024, 5, 64}), nullptr);
 }
 
 } // namespace

@@ -18,6 +18,7 @@
 #include "campaign/runner.hh"
 #include "campaign/sink.hh"
 #include "campaign/spec.hh"
+#include "corona/knobs.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "workload/splash.hh"

@@ -57,8 +57,8 @@ passThroughConfig(core::NetworkKind network, core::MemoryKind memory)
     core::SystemConfig config = core::makeConfig(network, memory);
     config.label = config.name();
     config.frontend = core::FrontendKind::Coherent;
-    config.l1_kib = 0;
-    config.l2_kib = 0;
+    config.hierarchy.l1_kib = 0;
+    config.hierarchy.l2_kib = 0;
     return config;
 }
 
@@ -445,12 +445,12 @@ TEST_P(TimedFrontEndFuzz, ProtocolAndResidencyAgreeAtEveryDrain)
                            : core::MemoryKind::ECM);
     config.frontend = core::FrontendKind::Coherent;
     config.inval_policy = param.policy;
-    config.write_through = param.write_through;
+    config.hierarchy.write_through = param.write_through;
     // Tiny caches, so capacity evictions race the invalidations.
-    config.l1_kib = param.l1_kib;
-    config.l1_assoc = 2;
-    config.l2_kib = param.l2_kib;
-    config.l2_assoc = 4;
+    config.hierarchy.l1_kib = param.l1_kib;
+    config.hierarchy.l1_assoc = 2;
+    config.hierarchy.l2_kib = param.l2_kib;
+    config.hierarchy.l2_assoc = 4;
     core::SimContext ctx(config);
     core::CoherentFrontEnd *fe = ctx.system().frontEnd();
     ASSERT_NE(fe, nullptr);

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "campaign/runner.hh"
+#include "corona/knobs.hh"
 #include "model/calibration.hh"
 #include "model/executor.hh"
 #include "workload/splash.hh"

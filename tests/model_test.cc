@@ -14,6 +14,7 @@
 
 #include "campaign/runner.hh"
 #include "campaign/sink.hh"
+#include "corona/knobs.hh"
 #include "model/calibration.hh"
 #include "model/design_space.hh"
 #include "model/executor.hh"

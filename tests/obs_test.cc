@@ -354,8 +354,8 @@ TEST(RunObserver, CoherentRunEmitsCoherenceTraceSpans)
     // Tiny caches: synthetic lines are unique per thread (no sharing
     // invalidations), so coherence traffic here means dirty-line
     // evictions — force them with capacity pressure.
-    config.l1_kib = 1;
-    config.l2_kib = 2;
+    config.hierarchy.l1_kib = 1;
+    config.hierarchy.l2_kib = 2;
 
     const std::string dir = ::testing::TempDir() + "/obs_cohtrace";
     std::filesystem::create_directories(dir);

@@ -363,6 +363,27 @@ TEST(Scenario, RejectsUnknownRegistryNamesAndKnobsAtParseTime)
     }
     EXPECT_NO_THROW(
         campaign::parseScenario(threadScenario("FFT clusters=256")));
+    // Coherent configs a cell could not build: more clusters than the
+    // directory tracks, or a cache shape Cache refuses.
+    for (const std::string config :
+         {"XBar/OCM clusters=256 frontend=coherent",
+          "XBar/OCM frontend=coherent l1_kib=1 l1_assoc=3",
+          "XBar/OCM frontend=coherent cache_line=48"}) {
+        const std::string workload =
+            config.find("256") != std::string::npos
+                ? "Uniform clusters=256"
+                : "Uniform";
+        try {
+            campaign::parseScenario(
+                "[scenario]\nname = coherent\n[workloads]\nworkload = " +
+                workload + "\n[configs]\nconfig = " + config + "\n");
+            ADD_FAILURE() << config << " parsed";
+        } catch (const sim::FatalError &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find('"' + config + '"'), std::string::npos)
+                << what;
+        }
+    }
 }
 
 TEST(Scenario, RejectsDuplicateAxisEntriesAtParseTime)
@@ -426,21 +447,67 @@ TEST(Scenario, ResolveLabelsKnobbedVariantsDistinctly)
 
 TEST(Scenario, ConfigKnobExpressionRoundTrips)
 {
-    auto config =
+    // One non-default value per knob, in table order.
+    const std::vector<std::pair<std::string, std::string>> values = {
+        {"clusters", "256"},
+        {"threads_per_cluster", "8"},
+        {"mshrs_per_cluster", "64"},
+        {"thread_window", "6"},
+        {"local_hop", "400"},
+        {"memory_bandwidth_scale", "2.5"},
+        {"bytes_per_clock", "32"},
+        {"sink_buffer_depth", "8"},
+        {"loop_clocks", "4"},
+        {"max_batch", "4"},
+        {"token_node_pause", "200"},
+        {"frontend", "coherent"},
+        {"l1_kib", "16"},
+        {"l1_assoc", "2"},
+        {"l2_kib", "128"},
+        {"l2_assoc", "8"},
+        {"cache_line", "128"},
+        {"write_policy", "writethrough"},
+        {"inval_policy", "unicast"},
+        {"broadcast_threshold", "4"},
+        {"label", "big point"},
+    };
+    const auto knobs = core::configKnobs();
+    ASSERT_EQ(values.size(), knobs.size());
+    const auto roundTrip = [](const core::SystemConfig &config) {
+        const std::string expression = core::configKnobExpression(config);
+        const auto parsed =
+            campaign::parseAxisExpression(expression, "config");
+        auto rebuilt = core::namedConfig(parsed.name);
+        for (const auto &[key, value] : parsed.knobs)
+            core::applyConfigKnob(rebuilt, key, value);
+        EXPECT_TRUE(rebuilt == config) << expression;
+        return expression;
+    };
+    auto all =
         core::makeConfig(core::NetworkKind::XBar, core::MemoryKind::OCM);
-    core::applyConfigKnob(config, "clusters", "256");
-    core::applyConfigKnob(config, "memory_bandwidth_scale", "2");
-    core::applyConfigKnob(config, "label", "big point");
-    const std::string expression = core::configKnobExpression(config);
-    const auto parsed =
-        campaign::parseAxisExpression(expression, "config");
-    auto rebuilt = core::namedConfig(parsed.name);
-    for (const auto &[key, value] : parsed.knobs)
-        core::applyConfigKnob(rebuilt, key, value);
-    EXPECT_EQ(rebuilt.name(), config.name());
-    EXPECT_EQ(rebuilt.clusters, config.clusters);
-    EXPECT_EQ(rebuilt.memory_bandwidth_scale,
-              config.memory_bandwidth_scale);
+    for (std::size_t i = 0; i < values.size(); ++i) {
+        const auto &[key, value] = values[i];
+        EXPECT_EQ(key, knobs[i].key);
+        auto config = core::makeConfig(core::NetworkKind::XBar,
+                                       core::MemoryKind::OCM);
+        core::applyConfigKnob(config, key, value);
+        EXPECT_FALSE(config == core::makeConfig(core::NetworkKind::XBar,
+                                                core::MemoryKind::OCM))
+            << key;
+        roundTrip(config);
+        core::applyConfigKnob(all, key, value);
+    }
+    // Every knob non-default at once; the bytes the table-less
+    // serialiser produced.
+    EXPECT_EQ(roundTrip(all),
+              "XBar/OCM clusters=256 threads_per_cluster=8 "
+              "mshrs_per_cluster=64 thread_window=6 local_hop=400 "
+              "memory_bandwidth_scale=2.5 bytes_per_clock=32 "
+              "sink_buffer_depth=8 loop_clocks=4 max_batch=4 "
+              "token_node_pause=200 frontend=coherent l1_kib=16 "
+              "l1_assoc=2 l2_kib=128 l2_assoc=8 cache_line=128 "
+              "write_policy=writethrough inval_policy=unicast "
+              "broadcast_threshold=4 label=\"big point\"");
 }
 
 // --------------------------------- duplicate-axis-label rejection

@@ -121,6 +121,14 @@ TEST(SystemPool, KnobbedVariantsOfOneKindDoNotAlias)
     core::SimContext &b = pool.lease(scaled);
     EXPECT_NE(&a, &b);
     EXPECT_EQ(pool.size(), 2u);
+    // Beyond six decimals: configs compare by value, not by a
+    // formatted key.
+    auto near = base;
+    near.mesh.link_efficiency = 0.8000001;
+    ASSERT_EQ(base.mesh.link_efficiency, 0.8);
+    core::SimContext &c = pool.lease(near);
+    EXPECT_NE(&a, &c);
+    EXPECT_EQ(pool.size(), 3u);
 }
 
 TEST(SystemPool, MeshParameterTweaksDoNotAlias)

@@ -44,6 +44,7 @@
 #include "model/calibration.hh"
 #include "model/design_space.hh"
 #include "model/executor.hh"
+#include "obs/registry.hh"
 #include "sim/logging.hh"
 #include "stats/report.hh"
 
@@ -343,18 +344,18 @@ pointCsvRow(const model::EvaluatedPoint &e)
        << "," << model::to_string(d.token_scheme) << ","
        << d.memory_channels << "," << (f.feasible ? 1 : 0) << ","
        << campaign::csvEscape(f.reason) << ","
-       << campaign::formatShortestDouble(p.offered_bytes_per_second)
+       << obs::formatValue(p.offered_bytes_per_second)
        << ","
-       << campaign::formatShortestDouble(p.achieved_bytes_per_second)
-       << "," << campaign::formatShortestDouble(p.avg_latency_ns)
-       << "," << campaign::formatShortestDouble(p.p95_latency_ns)
-       << "," << campaign::formatShortestDouble(p.network_power_w)
-       << "," << campaign::formatShortestDouble(p.token_wait_ns)
-       << "," << campaign::formatShortestDouble(f.photonic_power_w)
-       << "," << campaign::formatShortestDouble(f.laser_power_w)
-       << "," << campaign::formatShortestDouble(f.trimming_power_w)
-       << "," << campaign::formatShortestDouble(f.ring_yield) << ","
-       << campaign::formatShortestDouble(f.path_loss_db);
+       << obs::formatValue(p.achieved_bytes_per_second)
+       << "," << obs::formatValue(p.avg_latency_ns)
+       << "," << obs::formatValue(p.p95_latency_ns)
+       << "," << obs::formatValue(p.network_power_w)
+       << "," << obs::formatValue(p.token_wait_ns)
+       << "," << obs::formatValue(f.photonic_power_w)
+       << "," << obs::formatValue(f.laser_power_w)
+       << "," << obs::formatValue(f.trimming_power_w)
+       << "," << obs::formatValue(f.ring_yield) << ","
+       << obs::formatValue(f.path_loss_db);
     return os.str();
 }
 
