@@ -5,9 +5,10 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <ostream>
-#include <sstream>
 
+#include "campaign/sink.hh"
 #include "obs/registry.hh"
 #include "sim/logging.hh"
 
@@ -17,20 +18,14 @@ namespace {
 
 constexpr const char *rollupMagic = "corona-rollup-v1";
 
+/** One CSV row of a rollup file; fatal on bad quoting. */
 std::vector<std::string>
-splitCsv(const std::string &line)
+splitRow(const std::string &line, const std::string &what)
 {
-    std::vector<std::string> fields;
-    std::size_t at = 0;
-    while (true) {
-        const std::size_t comma = line.find(',', at);
-        if (comma == std::string::npos) {
-            fields.push_back(line.substr(at));
-            return fields;
-        }
-        fields.push_back(line.substr(at, comma - at));
-        at = comma + 1;
-    }
+    std::optional<std::vector<std::string>> fields = splitCsvRow(line);
+    if (!fields)
+        sim::fatal(what + ": malformed CSV row in rollup");
+    return std::move(*fields);
 }
 
 std::uint64_t
@@ -196,7 +191,7 @@ ObsRollup::read(std::istream &is, const std::string &what)
                 line.compare(0, 8, "run,tick") != 0)
                 sim::fatal(what + ": rollup group \"" + config +
                            "\" lacks its header line");
-            std::vector<std::string> header = splitCsv(line);
+            std::vector<std::string> header = splitRow(line, what);
             rollup._groups.push_back(RollupGroup{
                 config,
                 {header.begin() + 2, header.end()},
@@ -206,7 +201,7 @@ ObsRollup::read(std::istream &is, const std::string &what)
         }
         if (!group)
             sim::fatal(what + ": rollup data before any group line");
-        const std::vector<std::string> fields = splitCsv(line);
+        const std::vector<std::string> fields = splitRow(line, what);
         if (fields.size() != group->paths.size() + 2)
             sim::fatal(what + ": rollup row width mismatch in \"" +
                        group->config + "\"");

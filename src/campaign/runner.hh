@@ -77,21 +77,16 @@ struct RunnerOptions
     /** Slice of the grid this process executes (default: all of it).
      * Sinks observe only this shard's records. */
     ShardSpec shard{};
-    /** Executes one plan. Defaults to the event simulator
-     * (executePlan); the analytical model plugs in here
-     * (model::planExecutor), so the same CampaignSpec grid runs
-     * either way — sinks, sharding, checkpointing and resume are
-     * executor-agnostic. Must be thread-safe. */
+    /** Executes one plan. Defaults to the event simulator on contexts
+     * and workloads each worker thread pools (a SystemPool and a
+     * WorkloadCache, leased reset per cell instead of rebuilding a
+     * 64-cluster CoronaSystem and a workload model). A reset context
+     * or workload is observationally a fresh one, so results equal
+     * executePlan's, which builds both fresh; the parity tests plug it
+     * in here. The analytical model plugs in here too
+     * (model::planExecutor): sinks, sharding, checkpointing and resume
+     * are executor-agnostic. Must be thread-safe. */
     std::function<RunRecord(const RunPlan &)> execute{};
-    /** Reuse simulation contexts and workload instances across a
-     * worker's runs: each worker thread keeps a SystemPool plus a
-     * WorkloadCache and leases reset instances per cell instead of
-     * reconstructing a full 64-cluster CoronaSystem (and a workload
-     * model) every time. Results and sink bytes are bit-identical
-     * either way (a reset context/workload is observationally a fresh
-     * one — locked in by tests); off exists for bisecting a suspected
-     * reset bug. Ignored when a custom executor is installed. */
-    bool reuse_systems = true;
     /** Per-run observability: registry time-series sampling, event
      * tracing, end-of-run snapshots (all off by default). Applied only
      * on the event-simulator path (the scenario layer rejects it for
@@ -146,12 +141,10 @@ class CampaignRunner
     std::vector<ResultSink *> _sinks;
 };
 
-/** Execute one plan on the calling thread (also used by the pool). */
+/** Execute one plan on the calling thread, on a freshly built
+ * context and workload: the reference the pooled default path is
+ * held to. */
 RunRecord executePlan(const RunPlan &plan);
-
-/** Execute one plan on a context leased from @p pool (the runner's
- * reuse_systems path). The pool must belong to the calling thread. */
-RunRecord executePlan(const RunPlan &plan, core::SystemPool &pool);
 
 /** Resolve a requested worker count: 0 defers to $CORONA_JOBS when
  * set (strictly parsed, fatal on garbage), else hardware concurrency;

@@ -1,10 +1,12 @@
 #include "campaign/scenario.hh"
 
+#include <algorithm>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
+#include <string_view>
 
 #include "campaign/scenario_format.hh"
-#include "corona/knobs.hh"
 #include "sim/logging.hh"
 #include "trace/replayer.hh"
 #include "workload/registry.hh"
@@ -77,52 +79,217 @@ badEntry(const ScenarioEntry &entry, const std::string &message)
                message);
 }
 
-std::uint64_t
-entryUnsigned(const ScenarioEntry &entry)
+/** Any text, the empty string included. */
+std::string
+parseText(std::string &field, const std::string &text)
 {
-    const auto value = core::parseUnsigned(entry.value);
-    if (!value)
-        badEntry(entry, entry.key +
-                            " expects an unsigned decimal integer, "
-                            "got \"" +
-                            entry.value + "\"");
-    return *value;
+    field = text;
+    return {};
 }
 
-std::uint64_t
-entryPositive(const ScenarioEntry &entry)
+std::string
+parseNonEmpty(std::string &field, const std::string &text)
 {
-    const auto value = core::parsePositiveCount(entry.value);
-    if (!value)
-        badEntry(entry, entry.key +
-                            " expects a strictly positive decimal "
-                            "integer, got \"" +
-                            entry.value + "\"");
-    return *value;
+    if (text.empty())
+        return "a non-empty value";
+    field = text;
+    return {};
 }
 
-/** Enforce that @p section only holds keys from @p allowed, each at
- * most once. */
+std::string
+parseSwitch(bool &field, const std::string &text)
+{
+    const auto value = core::parseOnOff(text);
+    if (!value)
+        return "on or off";
+    field = *value;
+    return {};
+}
+
+std::string
+formatSwitch(bool field)
+{
+    return field ? "on" : "off";
+}
+
+/** Comma-separated unsigned salts; an empty item anywhere is
+ * malformed. */
+std::string
+parseSeeds(std::vector<std::uint64_t> &field, const std::string &text)
+{
+    std::vector<std::uint64_t> seeds;
+    for (std::size_t at = 0;;) {
+        const std::size_t comma = text.find(',', at);
+        const auto salt = core::parseUnsigned(
+            std::string_view(text).substr(at, comma - at));
+        if (!salt)
+            return "a comma-separated list of unsigned integers";
+        seeds.push_back(*salt);
+        if (comma == std::string::npos)
+            break;
+        at = comma + 1;
+    }
+    field = std::move(seeds);
+    return {};
+}
+
+std::string
+formatSeeds(const std::vector<std::uint64_t> &seeds)
+{
+    std::string text;
+    for (const std::uint64_t salt : seeds) {
+        if (!text.empty())
+            text += ",";
+        text += std::to_string(salt);
+    }
+    return text;
+}
+
+constexpr std::pair<SeedPolicy, const char *> seedPolicyNames[] = {
+    {SeedPolicy::Fixed, "fixed"},
+    {SeedPolicy::Derived, "derived"},
+};
+
+constexpr core::Knob<ScenarioSpec> scenarioKnobTable[] = {
+    {"name", "campaign name, part of every checkpoint fingerprint",
+     [](auto &s, auto &v) { return parseNonEmpty(s.name, v); },
+     [](auto &s) { return s.name; }},
+    {"requests", "primary misses per run (positive)",
+     [](auto &s, auto &v) { return core::parsePositive(s.requests, v); },
+     [](auto &s) { return std::to_string(s.requests); }},
+    {"warmup_requests", "unmeasured warm-up misses per run",
+     [](auto &s, auto &v) {
+         return core::parseCount(s.warmup_requests, v);
+     },
+     [](auto &s) { return std::to_string(s.warmup_requests); }},
+    {"seed", "base SimParams seed (every run's, under seed_policy fixed)",
+     [](auto &s, auto &v) { return core::parseCount(s.seed, v); },
+     [](auto &s) { return std::to_string(s.seed); }},
+    {"campaign_seed", "splitmix64 root of the derived per-run seeds",
+     [](auto &s, auto &v) { return core::parseCount(s.campaign_seed, v); },
+     [](auto &s) { return std::to_string(s.campaign_seed); }},
+    {"seed_policy", "per-run seeds: fixed | derived",
+     [](auto &s, auto &v) {
+         return core::parseName(s.seed_policy, v, seedPolicyNames);
+     },
+     [](auto &s) { return core::formatName(s.seed_policy, seedPolicyNames); }},
+    {"seeds", "seed-replicate axis salts, comma-separated",
+     [](auto &s, auto &v) { return parseSeeds(s.seeds, v); },
+     [](auto &s) { return formatSeeds(s.seeds); }},
+};
+
+constexpr core::Knob<ScenarioExecution> executionKnobTable[] = {
+    {"threads", "campaign workers (0 = CORONA_JOBS or hardware concurrency)",
+     [](auto &e, auto &v) { return core::parseCount(e.threads, v); },
+     [](auto &e) { return std::to_string(e.threads); }},
+    {"shard", "this process's slice i/N of the grid",
+     [](auto &e, auto &v) -> std::string {
+         const auto shard = parseShardSpec(v);
+         if (!shard)
+             return "\"i/N\" with 1 <= i <= N";
+         e.shard = *shard;
+         return {};
+     },
+     [](auto &e) { return e.shard.label(); }},
+    {"checkpoint", "crash-tolerant resume file (empty = none)",
+     [](auto &e, auto &v) { return parseText(e.checkpoint, v); },
+     [](auto &e) { return e.checkpoint; }},
+    {"executor", "run executor: simulate | model",
+     [](auto &e, auto &v) -> std::string {
+         if (v != "simulate" && v != "model")
+             return "simulate or model";
+         e.executor = v;
+         return {};
+     },
+     [](auto &e) { return e.executor; }},
+    {"calibration", "residual-factor CSV (executor = model only)",
+     [](auto &e, auto &v) { return parseText(e.calibration, v); },
+     [](auto &e) { return e.calibration; }},
+    {"csv", "per-run CSV sink path",
+     [](auto &e, auto &v) { return parseText(e.csv, v); },
+     [](auto &e) { return e.csv; }},
+    {"jsonl", "per-run JSON-lines sink path",
+     [](auto &e, auto &v) { return parseText(e.jsonl, v); },
+     [](auto &e) { return e.jsonl; }},
+    {"summary", "per-cell replicate statistics CSV path",
+     [](auto &e, auto &v) { return parseText(e.summary, v); },
+     [](auto &e) { return e.summary; }},
+    {"progress", "progress/ETA on stderr",
+     [](auto &e, auto &v) { return parseSwitch(e.progress, v); },
+     [](auto &e) { return formatSwitch(e.progress); }},
+};
+
+constexpr core::Knob<obs::CampaignObsOptions> observabilityKnobTable[] = {
+    {"sample_period", "ticks between time-series samples (0 = off)",
+     [](auto &o, auto &v) { return core::parseCount(o.sample_period, v); },
+     [](auto &o) { return std::to_string(o.sample_period); }},
+    {"trace_capacity", "event-trace ring size in events (0 = off)",
+     [](auto &o, auto &v) { return core::parseCount(o.trace_capacity, v); },
+     [](auto &o) { return std::to_string(o.trace_capacity); }},
+    {"snapshot", "end-of-run registry snapshot CSV per run",
+     [](auto &o, auto &v) { return parseSwitch(o.snapshot, v); },
+     [](auto &o) { return formatSwitch(o.snapshot); }},
+    {"heartbeat", "host-profiling heartbeat JSONL stream",
+     [](auto &o, auto &v) { return parseSwitch(o.heartbeat, v); },
+     [](auto &o) { return formatSwitch(o.heartbeat); }},
+    {"rollup", "campaign rollup of end-of-run registry values",
+     [](auto &o, auto &v) { return parseSwitch(o.rollup, v); },
+     [](auto &o) { return formatSwitch(o.rollup); }},
+    {"dir", "output directory for every observability file",
+     [](auto &o, auto &v) { return parseNonEmpty(o.dir, v); },
+     [](auto &o) { return o.dir; }},
+};
+
+/** Parse @p section into @p target: every key a row of @p knobs, each
+ * at most once, each value one its row accepts. */
+template <typename Section>
 void
-checkUniqueKeys(const ScenarioSection &section,
-                const std::vector<std::string> &allowed)
+parseSection(const ScenarioSection &section,
+             std::span<const core::Knob<Section>> knobs, Section &target)
 {
     for (const ScenarioEntry &entry : section.entries) {
-        bool known = false;
-        for (const std::string &key : allowed)
-            known = known || key == entry.key;
-        if (!known)
-            badEntry(entry, "unknown key \"" + entry.key +
-                                "\" in [" + section.name + "]");
-        std::size_t count = 0;
-        for (const ScenarioEntry &other : section.entries) {
-            if (other.key == entry.key)
-                ++count;
-        }
-        if (count > 1)
-            badEntry(entry, "duplicate key \"" + entry.key +
-                                "\" in [" + section.name + "]");
+        const auto knob =
+            std::find_if(knobs.begin(), knobs.end(),
+                         [&entry](const core::Knob<Section> &row) {
+                             return entry.key == row.key;
+                         });
+        if (knob == knobs.end())
+            badEntry(entry, "unknown key \"" + entry.key + "\" in [" +
+                                section.name + "]");
+        if (std::count_if(section.entries.begin(), section.entries.end(),
+                          [&entry](const ScenarioEntry &other) {
+                              return other.key == entry.key;
+                          }) > 1)
+            badEntry(entry, "duplicate key \"" + entry.key + "\" in [" +
+                                section.name + "]");
+        const std::string expected = knob->parse(target, entry.value);
+        if (!expected.empty())
+            badEntry(entry, entry.key + " expects " + expected +
+                                ", got \"" + entry.value + "\"");
     }
+}
+
+/** Append a [@p name] section holding the rows of @p knobs whose
+ * formatted value differs from the default-constructed section's, plus
+ * the @p always keys; an empty section is left out. */
+template <typename Section>
+void
+formatSection(ScenarioDoc &doc, const char *name,
+              std::span<const core::Knob<Section>> knobs,
+              const Section &section,
+              std::initializer_list<std::string_view> always = {})
+{
+    const Section defaults{};
+    ScenarioSection out{name, {}, 0};
+    for (const core::Knob<Section> &knob : knobs) {
+        std::string value = knob.format(section);
+        if (value != knob.format(defaults) ||
+            std::find(always.begin(), always.end(), knob.key) !=
+                always.end())
+            out.entries.push_back({knob.key, std::move(value), 0});
+    }
+    if (!out.entries.empty())
+        doc.sections.push_back(std::move(out));
 }
 
 /** A section whose only (repeatable) key is @p key; returns values. */
@@ -345,47 +512,7 @@ parseScenario(std::string_view text)
     const ScenarioSection *header = doc.find("scenario");
     if (!header)
         badScenario("missing [scenario] section");
-    checkUniqueKeys(*header,
-                    {"name", "requests", "warmup_requests", "seed",
-                     "campaign_seed", "seed_policy", "seeds"});
-    for (const ScenarioEntry &entry : header->entries) {
-        if (entry.key == "name") {
-            if (entry.value.empty())
-                badEntry(entry, "name is empty");
-            spec.name = entry.value;
-        } else if (entry.key == "requests") {
-            spec.requests = entryPositive(entry);
-        } else if (entry.key == "warmup_requests") {
-            spec.warmup_requests = entryUnsigned(entry);
-        } else if (entry.key == "seed") {
-            spec.seed = entryUnsigned(entry);
-        } else if (entry.key == "campaign_seed") {
-            spec.campaign_seed = entryUnsigned(entry);
-        } else if (entry.key == "seed_policy") {
-            if (entry.value == "fixed")
-                spec.seed_policy = SeedPolicy::Fixed;
-            else if (entry.value == "derived")
-                spec.seed_policy = SeedPolicy::Derived;
-            else
-                badEntry(entry, "seed_policy is \"fixed\" or "
-                                "\"derived\", got \"" +
-                                    entry.value + "\"");
-        } else if (entry.key == "seeds") {
-            std::istringstream is(entry.value);
-            std::string item;
-            while (std::getline(is, item, ',')) {
-                const auto salt = core::parseUnsigned(item);
-                if (!salt)
-                    badEntry(entry,
-                             "seeds is a comma-separated list of "
-                             "unsigned integers, got \"" +
-                                 entry.value + "\"");
-                spec.seeds.push_back(*salt);
-            }
-            if (spec.seeds.empty())
-                badEntry(entry, "seeds list is empty");
-        }
-    }
+    parseSection(*header, scenarioKnobs(), spec);
 
     const ScenarioSection *workloads = doc.find("workloads");
     if (!workloads)
@@ -405,90 +532,19 @@ parseScenario(std::string_view text)
         spec.overrides = listSection(*overrides, "override");
 
     if (const ScenarioSection *execution = doc.find("execution")) {
-        checkUniqueKeys(*execution,
-                        {"threads", "shard", "checkpoint", "executor",
-                         "calibration", "csv", "jsonl", "summary",
-                         "progress", "reuse_systems"});
-        for (const ScenarioEntry &entry : execution->entries) {
-            if (entry.key == "threads") {
-                spec.execution.threads =
-                    static_cast<std::size_t>(entryUnsigned(entry));
-            } else if (entry.key == "shard") {
-                const auto shard = parseShardSpec(entry.value);
-                if (!shard)
-                    badEntry(entry, "shard must be \"i/N\" with "
-                                    "1 <= i <= N, got \"" +
-                                        entry.value + "\"");
-                spec.execution.shard = *shard;
-            } else if (entry.key == "checkpoint") {
-                spec.execution.checkpoint = entry.value;
-            } else if (entry.key == "executor") {
-                if (entry.value != "simulate" &&
-                    entry.value != "model")
-                    badEntry(entry, "executor is \"simulate\" or "
-                                    "\"model\", got \"" +
-                                        entry.value + "\"");
-                spec.execution.executor = entry.value;
-            } else if (entry.key == "calibration") {
-                spec.execution.calibration = entry.value;
-            } else if (entry.key == "csv") {
-                spec.execution.csv = entry.value;
-            } else if (entry.key == "jsonl") {
-                spec.execution.jsonl = entry.value;
-            } else if (entry.key == "summary") {
-                spec.execution.summary = entry.value;
-            } else if (entry.key == "progress") {
-                const auto value = core::parseOnOff(entry.value);
-                if (!value)
-                    badEntry(entry, "progress is on/off, got \"" +
-                                        entry.value + "\"");
-                spec.execution.progress = *value;
-            } else if (entry.key == "reuse_systems") {
-                const auto value = core::parseOnOff(entry.value);
-                if (!value)
-                    badEntry(entry, "reuse_systems is on/off, got \"" +
-                                        entry.value + "\"");
-                spec.execution.reuse_systems = *value;
-            }
-        }
+        parseSection(*execution, executionKnobs(), spec.execution);
+        const ScenarioEntry *calibration = execution->find("calibration");
+        if (calibration && !calibration->value.empty() &&
+            spec.execution.executor != "model")
+            badEntry(*calibration, "calibration needs executor = model");
     }
 
     if (const ScenarioSection *observability =
             doc.find("observability")) {
-        checkUniqueKeys(*observability,
-                        {"sample_period", "trace_capacity", "snapshot",
-                         "heartbeat", "rollup", "dir"});
-        for (const ScenarioEntry &entry : observability->entries) {
-            if (entry.key == "sample_period") {
-                spec.observability.sample_period = entryUnsigned(entry);
-            } else if (entry.key == "trace_capacity") {
-                spec.observability.trace_capacity =
-                    entryUnsigned(entry);
-            } else if (entry.key == "snapshot") {
-                const auto value = core::parseOnOff(entry.value);
-                if (!value)
-                    badEntry(entry, "snapshot is on/off, got \"" +
-                                        entry.value + "\"");
-                spec.observability.snapshot = *value;
-            } else if (entry.key == "heartbeat") {
-                const auto value = core::parseOnOff(entry.value);
-                if (!value)
-                    badEntry(entry, "heartbeat is on/off, got \"" +
-                                        entry.value + "\"");
-                spec.observability.heartbeat = *value;
-            } else if (entry.key == "rollup") {
-                const auto value = core::parseOnOff(entry.value);
-                if (!value)
-                    badEntry(entry, "rollup is on/off, got \"" +
-                                        entry.value + "\"");
-                spec.observability.rollup = *value;
-            } else if (entry.key == "dir") {
-                if (entry.value.empty())
-                    badEntry(entry, "dir is empty");
-                spec.observability.dir = entry.value;
-            }
-        }
-        if (spec.observability.enabled() &&
+        parseSection(*observability, observabilityKnobs(),
+                     spec.observability);
+        if ((spec.observability.enabled() ||
+             spec.observability.heartbeat) &&
             spec.execution.executor == "model")
             badScenario(
                 "line " + std::to_string(observability->line) +
@@ -513,100 +569,44 @@ loadScenarioFile(const std::string &path)
     return parseScenario(text.str());
 }
 
+std::span<const core::Knob<ScenarioSpec>>
+scenarioKnobs()
+{
+    return scenarioKnobTable;
+}
+
+std::span<const core::Knob<ScenarioExecution>>
+executionKnobs()
+{
+    return executionKnobTable;
+}
+
+std::span<const core::Knob<obs::CampaignObsOptions>>
+observabilityKnobs()
+{
+    return observabilityKnobTable;
+}
+
 std::string
 serializeScenario(const ScenarioSpec &spec)
 {
     ScenarioDoc doc;
-
-    ScenarioSection header{"scenario", {}, 0};
-    const auto add = [](ScenarioSection &section, const char *key,
-                        const std::string &value) {
-        section.entries.push_back({key, value, 0});
+    formatSection(doc, "scenario", scenarioKnobs(), spec,
+                  {"name", "requests", "seed_policy"});
+    const auto addList = [&doc](const char *name, const char *key,
+                                const std::vector<std::string> &values) {
+        ScenarioSection section{name, {}, 0};
+        for (const std::string &value : values)
+            section.entries.push_back({key, value, 0});
+        doc.sections.push_back(std::move(section));
     };
-    add(header, "name", spec.name);
-    add(header, "requests", std::to_string(spec.requests));
-    if (spec.warmup_requests != 0)
-        add(header, "warmup_requests",
-            std::to_string(spec.warmup_requests));
-    if (spec.seed != 1)
-        add(header, "seed", std::to_string(spec.seed));
-    if (spec.campaign_seed != 1)
-        add(header, "campaign_seed",
-            std::to_string(spec.campaign_seed));
-    add(header, "seed_policy",
-        spec.seed_policy == SeedPolicy::Fixed ? "fixed" : "derived");
-    if (!spec.seeds.empty()) {
-        std::string salts;
-        for (const std::uint64_t salt : spec.seeds) {
-            if (!salts.empty())
-                salts += ",";
-            salts += std::to_string(salt);
-        }
-        add(header, "seeds", salts);
-    }
-    doc.sections.push_back(std::move(header));
-
-    ScenarioSection workloads{"workloads", {}, 0};
-    for (const std::string &expression : spec.workloads)
-        add(workloads, "workload", expression);
-    doc.sections.push_back(std::move(workloads));
-
-    ScenarioSection configs{"configs", {}, 0};
-    for (const std::string &expression : spec.configs)
-        add(configs, "config", expression);
-    doc.sections.push_back(std::move(configs));
-
-    if (!spec.overrides.empty()) {
-        ScenarioSection overrides{"overrides", {}, 0};
-        for (const std::string &expression : spec.overrides)
-            add(overrides, "override", expression);
-        doc.sections.push_back(std::move(overrides));
-    }
-
-    ScenarioSection execution{"execution", {}, 0};
-    const ScenarioExecution &exec = spec.execution;
-    if (exec.threads != 0)
-        add(execution, "threads", std::to_string(exec.threads));
-    if (!exec.shard.isWhole())
-        add(execution, "shard", exec.shard.label());
-    if (!exec.checkpoint.empty())
-        add(execution, "checkpoint", exec.checkpoint);
-    if (exec.executor != "simulate")
-        add(execution, "executor", exec.executor);
-    if (!exec.calibration.empty())
-        add(execution, "calibration", exec.calibration);
-    if (!exec.csv.empty())
-        add(execution, "csv", exec.csv);
-    if (!exec.jsonl.empty())
-        add(execution, "jsonl", exec.jsonl);
-    if (!exec.summary.empty())
-        add(execution, "summary", exec.summary);
-    if (!exec.progress)
-        add(execution, "progress", "off");
-    if (!exec.reuse_systems)
-        add(execution, "reuse_systems", "off");
-    if (!execution.entries.empty())
-        doc.sections.push_back(std::move(execution));
-
-    ScenarioSection observability{"observability", {}, 0};
-    const ScenarioObservability &obs = spec.observability;
-    if (obs.sample_period != 0)
-        add(observability, "sample_period",
-            std::to_string(obs.sample_period));
-    if (obs.trace_capacity != 0)
-        add(observability, "trace_capacity",
-            std::to_string(obs.trace_capacity));
-    if (obs.snapshot)
-        add(observability, "snapshot", "on");
-    if (obs.heartbeat)
-        add(observability, "heartbeat", "on");
-    if (obs.rollup)
-        add(observability, "rollup", "on");
-    if (obs.dir != "obs")
-        add(observability, "dir", obs.dir);
-    if (!observability.entries.empty())
-        doc.sections.push_back(std::move(observability));
-
+    addList("workloads", "workload", spec.workloads);
+    addList("configs", "config", spec.configs);
+    if (!spec.overrides.empty())
+        addList("overrides", "override", spec.overrides);
+    formatSection(doc, "execution", executionKnobs(), spec.execution);
+    formatSection(doc, "observability", observabilityKnobs(),
+                  spec.observability);
     return serializeScenarioDoc(doc);
 }
 

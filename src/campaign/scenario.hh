@@ -12,40 +12,10 @@
  * to today's CampaignSpec; everything downstream (runner, sinks,
  * shard, checkpoint, model executor) is unchanged.
  *
- * File schema (see README "Scenario files" for the full reference):
- *
- *     [scenario]
- *     name = fig9
- *     requests = 50000
- *     warmup_requests = 10000
- *     seed_policy = fixed          # fixed | derived
- *     seeds = 0,1,2                # replicate salts (optional)
- *
- *     [workloads]
- *     workload = all               # the 15 Table-3 generators
- *     workload = Uniform mean_think=2000
- *
- *     [configs]
- *     config = paper               # the five paper configurations
- *     config = XBar/OCM clusters=256 memory_bandwidth_scale=2
- *
- *     [overrides]                  # optional SimParams axis
- *     override = warm warmup_requests=10000
- *
- *     [execution]                  # optional runtime settings
- *     threads = 0
- *     shard = 1/4
- *     checkpoint = fig9.ckpt
- *     executor = simulate          # simulate | model
- *     reuse_systems = on           # pool simulation contexts per worker
- *     csv = fig9.csv
- *
- *     [observability]              # optional; all planes off by default
- *     sample_period = 1000000      # ticks between time-series samples
- *     trace_capacity = 65536       # event-trace ring size (events)
- *     snapshot = on                # end-of-run registry snapshot CSVs
- *     heartbeat = on               # host-profiling JSONL stream
- *     dir = obs                    # output directory for all of it
+ * The file schema, every key of every section with a comment per key,
+ * is scenarios/reference.scenario; each [scenario], [execution] and
+ * [observability] key is declared once, as a core::Knob row in
+ * scenario.cc.
  *
  * Axis expressions are whitespace-separated: leading tokens (which
  * may contain spaces, e.g. "Hot Spot") name the registry entry or
@@ -57,12 +27,15 @@
 #define CORONA_CAMPAIGN_SCENARIO_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "campaign/shard.hh"
 #include "campaign/spec.hh"
+#include "corona/knobs.hh"
+#include "obs/observe.hh"
 
 namespace corona::campaign {
 
@@ -105,39 +78,6 @@ struct ScenarioExecution
     std::string csv, jsonl, summary;
     /** Progress/ETA reporting on stderr. */
     bool progress = true;
-    /** Reuse pooled simulation contexts across a worker's cells
-     * (RunnerOptions::reuse_systems); results are bit-identical either
-     * way. */
-    bool reuse_systems = true;
-};
-
-/** The [observability] section: per-run in-sim recording plus campaign
- * heartbeats (see src/obs). Every plane defaults off; an enabled
- * section requires executor = simulate (the analytical model has no
- * event stream to observe). */
-struct ScenarioObservability
-{
-    /** Ticks between time-series samples; 0 = no sampler. */
-    std::uint64_t sample_period = 0;
-    /** Event-trace ring capacity in events; 0 = no tracer. */
-    std::uint64_t trace_capacity = 0;
-    /** Write an end-of-run registry snapshot CSV per run. */
-    bool snapshot = false;
-    /** Stream host-profiling heartbeat JSONL from the runner. */
-    bool heartbeat = false;
-    /** Collect end-of-run registry captures into a campaign rollup
-     * file (merged across shards by corona-launch). */
-    bool rollup = false;
-    /** Directory receiving per-run files and the heartbeat stream
-     * (created on demand by runScenario). */
-    std::string dir = "obs";
-
-    bool
-    enabled() const
-    {
-        return sample_period > 0 || trace_capacity > 0 || snapshot ||
-               heartbeat || rollup;
-    }
 };
 
 /** A serializable experiment description. */
@@ -162,7 +102,12 @@ struct ScenarioSpec
     std::vector<std::string> overrides;
 
     ScenarioExecution execution;
-    ScenarioObservability observability;
+    /** The [observability] section: per-run in-sim recording plus the
+     * campaign heartbeat stream (see src/obs). Every plane defaults
+     * off; a section with any plane or the heartbeat on requires
+     * executor = simulate (the analytical model has no event stream
+     * to observe). */
+    obs::CampaignObsOptions observability;
 
     /**
      * Lower to an executable CampaignSpec: workload expressions
@@ -175,6 +120,12 @@ struct ScenarioSpec
      */
     CampaignSpec resolve() const;
 };
+
+/** The keys of the [scenario], [execution] and [observability]
+ * sections, one row each, in canonical serialisation order. */
+std::span<const core::Knob<ScenarioSpec>> scenarioKnobs();
+std::span<const core::Knob<ScenarioExecution>> executionKnobs();
+std::span<const core::Knob<obs::CampaignObsOptions>> observabilityKnobs();
 
 /** Parse scenario text; fatal (with line numbers) on any violation. */
 ScenarioSpec parseScenario(std::string_view text);

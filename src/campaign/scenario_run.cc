@@ -138,11 +138,11 @@ effectiveExecution(ScenarioSpec &scenario, EnvOverrides env)
 } // namespace
 
 void
-ScenarioObsSetup::apply(const ScenarioObservability &observability,
+ScenarioObsSetup::apply(const obs::CampaignObsOptions &observability,
                         const std::string &scenario_name,
                         RunnerOptions &options)
 {
-    if (!observability.enabled())
+    if (!observability.enabled() && !observability.heartbeat)
         return;
     // Observability outputs live under the scenario's obs dir: per-run
     // files are named by global run index (disjoint across shards),
@@ -154,12 +154,7 @@ ScenarioObsSetup::apply(const ScenarioObservability &observability,
         sim::fatal("scenario \"" + scenario_name +
                    "\": cannot create observability dir \"" +
                    observability.dir + "\": " + ec.message());
-    options.observability.sample_period = observability.sample_period;
-    options.observability.trace_capacity =
-        static_cast<std::size_t>(observability.trace_capacity);
-    options.observability.snapshot = observability.snapshot;
-    options.observability.rollup = observability.rollup;
-    options.observability.dir = observability.dir;
+    options.observability = observability;
     if (observability.heartbeat) {
         std::string path = observability.dir + "/heartbeat";
         if (!options.shard.isWhole())
@@ -214,7 +209,6 @@ runScenario(const ScenarioSpec &scenario,
     RunnerOptions runner_options;
     runner_options.threads = exec.threads;
     runner_options.shard = exec.shard;
-    runner_options.reuse_systems = exec.reuse_systems;
     if (!options.quiet && exec.progress)
         runner_options.progress = &progress;
     runner_options.execute = scenarioExecutor(effective);

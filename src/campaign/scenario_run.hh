@@ -83,9 +83,10 @@ class ScenarioObsSetup
     /**
      * Wire @p observability into @p options. @p options.shard must
      * already hold the shard this process executes (it names the
-     * heartbeat and rollup files). No-op when the section is disabled.
+     * heartbeat and rollup files). No-op when no plane and no
+     * heartbeat is on.
      */
-    void apply(const ScenarioObservability &observability,
+    void apply(const obs::CampaignObsOptions &observability,
                const std::string &scenario_name,
                RunnerOptions &options);
 

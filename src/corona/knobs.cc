@@ -2,7 +2,6 @@
 
 #include <charconv>
 #include <cmath>
-#include <limits>
 
 #include "obs/registry.hh"
 #include "sim/logging.hh"
@@ -38,38 +37,6 @@ applyKnob(std::span<const Knob<Target>> knobs, const char *what,
                "\" (valid knobs: " + names + ")");
 }
 
-/** A decimal integer no smaller than @p min that fits @p field. */
-template <typename T>
-std::string
-parseInteger(T &field, const std::string &text, std::uint64_t min)
-{
-    const auto parsed = parseUnsigned(text);
-    if (!parsed || *parsed < min) {
-        return min == 0 ? "an unsigned decimal integer"
-                        : "a strictly positive decimal integer";
-    }
-    if (*parsed > std::numeric_limits<T>::max()) {
-        return "an integer of at most " +
-               std::to_string(std::numeric_limits<T>::max());
-    }
-    field = static_cast<T>(*parsed);
-    return {};
-}
-
-template <typename T>
-std::string
-parseCount(T &field, const std::string &text)
-{
-    return parseInteger(field, text, 0);
-}
-
-template <typename T>
-std::string
-parsePositive(T &field, const std::string &text)
-{
-    return parseInteger(field, text, 1);
-}
-
 std::string
 parseClusters(std::size_t &field, const std::string &text)
 {
@@ -95,36 +62,6 @@ parsePositiveDouble(double &field, const std::string &text)
         return "a positive number";
     field = *parsed;
     return {};
-}
-
-/** One of the spellings in @p names ("a or b" on failure). */
-template <typename T, std::size_t N>
-std::string
-parseName(T &field, const std::string &text,
-          const std::pair<T, const char *> (&names)[N])
-{
-    std::string expected;
-    for (const auto &[value, name] : names) {
-        if (text == name) {
-            field = value;
-            return {};
-        }
-        if (!expected.empty())
-            expected += " or ";
-        expected += name;
-    }
-    return expected;
-}
-
-template <typename T, std::size_t N>
-std::string
-formatName(T field, const std::pair<T, const char *> (&names)[N])
-{
-    for (const auto &[value, name] : names) {
-        if (value == field)
-            return name;
-    }
-    return "?";
 }
 
 /** HierarchyConfig::write_through spellings (the write_policy knob). */

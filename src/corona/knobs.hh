@@ -12,7 +12,9 @@
  * warmup_requests, seed). A row holds the key, a one-line help text
  * for readers of the table, a parser into its field and a formatter
  * out of it. Applying a knob, listing the valid keys and serialising a
- * config back to text (configKnobExpression) all loop over the rows.
+ * config back to text (configKnobExpression) all loop over the rows;
+ * the scenario file's [scenario], [execution] and [observability]
+ * keys are rows of the same shape, built on the same parsers.
  * Appliers are strict — an unknown knob or a malformed value is fatal,
  * never silently ignored.
  */
@@ -20,9 +22,12 @@
 #ifndef CORONA_CORONA_KNOBS_HH
 #define CORONA_CORONA_KNOBS_HH
 
+#include <cstdint>
+#include <limits>
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "corona/config.hh"
@@ -53,6 +58,73 @@ struct Knob
     /** The field as expression text. */
     std::string (*format)(const Target &target);
 };
+
+/** Row parsers: each stores a valid @p text into @p field and returns
+ * empty, or returns what the text should have been and leaves the
+ * field as it was. */
+
+/** A decimal integer no smaller than @p min that fits @p field. */
+template <typename T>
+std::string
+parseInteger(T &field, const std::string &text, std::uint64_t min)
+{
+    const auto parsed = parseUnsigned(text);
+    if (!parsed || *parsed < min) {
+        return min == 0 ? "an unsigned decimal integer"
+                        : "a strictly positive decimal integer";
+    }
+    if (*parsed > std::numeric_limits<T>::max()) {
+        return "an integer of at most " +
+               std::to_string(std::numeric_limits<T>::max());
+    }
+    field = static_cast<T>(*parsed);
+    return {};
+}
+
+template <typename T>
+std::string
+parseCount(T &field, const std::string &text)
+{
+    return parseInteger(field, text, 0);
+}
+
+template <typename T>
+std::string
+parsePositive(T &field, const std::string &text)
+{
+    return parseInteger(field, text, 1);
+}
+
+/** One of the spellings in @p names ("a or b" on failure). */
+template <typename T, std::size_t N>
+std::string
+parseName(T &field, const std::string &text,
+          const std::pair<T, const char *> (&names)[N])
+{
+    std::string expected;
+    for (const auto &[value, name] : names) {
+        if (text == name) {
+            field = value;
+            return {};
+        }
+        if (!expected.empty())
+            expected += " or ";
+        expected += name;
+    }
+    return expected;
+}
+
+/** The spelling of @p field in @p names ("?" when absent). */
+template <typename T, std::size_t N>
+std::string
+formatName(T field, const std::pair<T, const char *> (&names)[N])
+{
+    for (const auto &[value, name] : names) {
+        if (value == field)
+            return name;
+    }
+    return "?";
+}
 
 // ------------------------------------------------------- SimParams
 

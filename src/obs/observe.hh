@@ -110,17 +110,27 @@ struct RunObservability
     }
 };
 
-/** Campaign-wide observability knobs (the [observability] section). */
+/** Campaign-wide observability knobs: the scenario's [observability]
+ * section, and RunnerOptions::observability. */
 struct CampaignObsOptions
 {
+    /** Ticks between time-series samples; 0 = no sampler. */
     sim::Tick sample_period = 0;
+    /** Event-trace ring capacity in events; 0 = no tracer. */
     std::size_t trace_capacity = 0;
+    /** Write an end-of-run registry snapshot CSV per run. */
     bool snapshot = false;
+    /** Stream host-profiling heartbeat JSONL. Read by the scenario
+     * layer, which opens the stream; the runner only sees
+     * RunnerOptions::heartbeat. */
+    bool heartbeat = false;
     /** Collect end-of-run registry values into a campaign rollup. */
     bool rollup = false;
-    /** Directory receiving per-run files (created by the caller). */
-    std::string dir;
+    /** Directory receiving per-run files, the rollup and the heartbeat
+     * stream (created by the caller). */
+    std::string dir = "obs";
 
+    /** A per-run plane is on (the heartbeat is not one). */
     bool
     enabled() const
     {

@@ -214,7 +214,7 @@ struct SinkBytes
 };
 
 SinkBytes
-runGrid(const campaign::CampaignSpec &spec, bool reuse_systems,
+runGrid(const campaign::CampaignSpec &spec, bool pooled,
         std::size_t threads)
 {
     std::ostringstream csv, jsonl;
@@ -222,7 +222,8 @@ runGrid(const campaign::CampaignSpec &spec, bool reuse_systems,
     campaign::JsonLinesSink jsonl_sink(jsonl);
     campaign::RunnerOptions options;
     options.threads = threads;
-    options.reuse_systems = reuse_systems;
+    if (!pooled)
+        options.execute = campaign::executePlan;
     campaign::CampaignRunner runner(options);
     runner.addSink(csv_sink);
     runner.addSink(jsonl_sink);
@@ -247,7 +248,7 @@ TEST(FrontEndParity, SinkBytesMatchMissStreamPooledAndFreshAt1And4Workers)
 }
 
 std::string
-runGridToCheckpoint(const campaign::CampaignSpec &spec, bool reuse_systems,
+runGridToCheckpoint(const campaign::CampaignSpec &spec, bool pooled,
                     const std::string &path)
 {
     std::remove(path.c_str());
@@ -255,7 +256,8 @@ runGridToCheckpoint(const campaign::CampaignSpec &spec, bool reuse_systems,
         campaign::CheckpointFile checkpoint(path, spec);
         campaign::RunnerOptions options;
         options.threads = 2;
-        options.reuse_systems = reuse_systems;
+        if (!pooled)
+            options.execute = campaign::executePlan;
         campaign::CampaignRunner runner(options);
         runner.addSink(checkpoint.sink());
         runner.run(spec);

@@ -558,7 +558,6 @@ TEST(WorkloadCache, LeasedWorkloadsResetToPristineSequences)
         campaign::CsvSink sink(pooled_csv);
         campaign::RunnerOptions options;
         options.threads = 1;
-        options.reuse_systems = true;
         campaign::CampaignRunner runner(options);
         runner.addSink(sink);
         runner.run(spec);
@@ -567,7 +566,7 @@ TEST(WorkloadCache, LeasedWorkloadsResetToPristineSequences)
         campaign::CsvSink sink(fresh_csv);
         campaign::RunnerOptions options;
         options.threads = 1;
-        options.reuse_systems = false;
+        options.execute = campaign::executePlan;
         campaign::CampaignRunner runner(options);
         runner.addSink(sink);
         runner.run(spec);

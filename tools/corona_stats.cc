@@ -37,12 +37,12 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "campaign/obs_rollup.hh"
+#include "campaign/sink.hh"
 #include "obs/follow.hh"
 #include "obs/observe.hh"
 #include "obs/registry.hh"
@@ -112,20 +112,6 @@ hasMagic(const std::string &path, const char (&magic)[8])
            std::equal(head, head + sizeof(head), magic);
 }
 
-/** Split one CSV line (no quoting — none of our writers quote). */
-std::vector<std::string>
-splitCsv(const std::string &line)
-{
-    std::vector<std::string> fields;
-    std::string field;
-    std::istringstream is(line);
-    while (std::getline(is, field, ','))
-        fields.push_back(field);
-    if (!line.empty() && line.back() == ',')
-        fields.push_back("");
-    return fields;
-}
-
 double
 parseDoubleField(const std::string &text, const std::string &path,
                  std::size_t line_no)
@@ -148,17 +134,23 @@ summarizeTimeSeriesCsv(std::istream &stream, const std::string &path)
     std::string line;
     if (!std::getline(stream, line))
         die(path + ": empty file (expected a tick,<paths...> header)");
-    const std::vector<std::string> header = splitCsv(line);
-    if (header.size() < 2 || header[0] != "tick")
+    const auto parsed_header = campaign::splitCsvRow(line);
+    if (!parsed_header || parsed_header->size() < 2 ||
+        parsed_header->front() != "tick")
         die(path + ": header must be \"tick,<path>,...\", got \"" +
             line + "\"");
+    const std::vector<std::string> &header = *parsed_header;
 
     std::vector<stats::RunningStats> columns(header.size() - 1);
     std::size_t rows = 0;
     std::size_t line_no = 1;
     while (std::getline(stream, line)) {
         ++line_no;
-        const std::vector<std::string> fields = splitCsv(line);
+        const auto parsed = campaign::splitCsvRow(line);
+        if (!parsed)
+            die(path + ":" + std::to_string(line_no) +
+                ": malformed CSV row");
+        const std::vector<std::string> &fields = *parsed;
         if (fields.size() != header.size())
             die(path + ":" + std::to_string(line_no) + ": expected " +
                 std::to_string(header.size()) + " fields, got " +
